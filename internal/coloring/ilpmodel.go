@@ -44,6 +44,39 @@ func ILPAssignContext(ctx context.Context, g *graph.Graph, k int, alpha float64,
 	if n == 0 {
 		return ILPResult{Colors: []int{}, Proven: true, Status: ilp.Optimal}
 	}
+	prob := ILPModel(g, k, alpha)
+	res := ilp.SolveContext(ctx, prob, ilp.Options{TimeLimit: timeLimit})
+	out := ILPResult{Status: res.Status, Proven: res.Status == ilp.Optimal}
+	if res.X != nil {
+		colors := make([]int, n)
+		for v := 0; v < n; v++ {
+			colors[v] = 0
+			for c := 0; c < k; c++ {
+				if res.X[v*k+c] > 0.5 {
+					colors[v] = c
+					break
+				}
+			}
+		}
+		out.Colors = colors
+		return out
+	}
+	// No incumbent within budget: fall back to a greedy coloring so the
+	// caller still gets a usable (unproven) assignment.
+	w := FromGraph(g)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	out.Colors = w.greedyColors(order, k, alpha)
+	return out
+}
+
+// ILPModel is the one-hot ILP encoding ILPAssign solves (see its formula):
+// y_{v,c} is variable v·K+c, followed by one conf variable per conflict
+// edge and one stit variable per stitch edge. g must be non-empty.
+func ILPModel(g *graph.Graph, k int, alpha float64) *ilp.Problem {
+	n := g.N()
 	ce := g.ConflictEdges()
 	se := g.StitchEdges()
 
@@ -101,29 +134,5 @@ func ILPAssignContext(ctx context.Context, g *graph.Graph, k int, alpha float64,
 	// Symmetry breaking: pin the first vertex to color 0.
 	prob.LP.AddConstraint(lp.EQ, 1, lp.Term{Var: yVar(0, 0), Coef: 1})
 
-	res := ilp.SolveContext(ctx, prob, ilp.Options{TimeLimit: timeLimit})
-	out := ILPResult{Status: res.Status, Proven: res.Status == ilp.Optimal}
-	if res.X != nil {
-		colors := make([]int, n)
-		for v := 0; v < n; v++ {
-			colors[v] = 0
-			for c := 0; c < k; c++ {
-				if res.X[yVar(v, c)] > 0.5 {
-					colors[v] = c
-					break
-				}
-			}
-		}
-		out.Colors = colors
-		return out
-	}
-	// No incumbent within budget: fall back to a greedy coloring so the
-	// caller still gets a usable (unproven) assignment.
-	w := FromGraph(g)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	out.Colors = w.greedyColors(order, k, alpha)
-	return out
+	return prob
 }

@@ -559,21 +559,20 @@ type stitchSplitter struct {
 	minS     int
 	minSeg   int
 	maxCount int
-	grid     *spatial.Grid
-	owner    []int // grid id -> feature index
-	rects    []geom.Rect
+	grid     *spatial.Grid // rect bounds by grid id
+	owner    []int         // grid id -> feature index
 }
 
 func newStitchSplitter(l *layout.Layout, minS, minSeg, maxCount int) *stitchSplitter {
-	s := &stitchSplitter{l: l, minS: minS, minSeg: minSeg, maxCount: maxCount}
-	world := l.Bounds().Expand(minS + 1)
 	total := l.RectCount()
+	s := &stitchSplitter{l: l, minS: minS, minSeg: minSeg, maxCount: maxCount,
+		owner: make([]int, 0, total)}
+	world := l.Bounds().Expand(minS + 1)
 	s.grid = spatial.NewGrid(world, minS, total)
 	for fi, f := range l.Features {
 		for _, r := range f.Rects {
 			s.grid.Insert(r)
 			s.owner = append(s.owner, fi)
-			s.rects = append(s.rects, r)
 		}
 	}
 	return s
@@ -608,7 +607,7 @@ func (s *stitchSplitter) split(q *spatial.Querier, fi int, f geom.Polygon) []geo
 		if s.owner[id] == fi {
 			return
 		}
-		nr := s.rects[id]
+		nr := s.grid.Bounds(id)
 		if geom.GapSq(r, nr) > int64(s.minS)*int64(s.minS) {
 			return
 		}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Graph is the decomposition graph. Vertices are dense integers [0, N).
@@ -38,6 +39,7 @@ type Graph struct {
 	nConf   int
 	nStit   int
 	nFriend int
+	relabel sync.Pool // *[]int32 Subgraph index arrays, all-zero between uses
 }
 
 // New returns a graph with n isolated vertices.
@@ -178,13 +180,18 @@ type Edge struct {
 }
 
 // ConflictEdges returns all conflict edges with U < V, sorted.
-func (g *Graph) ConflictEdges() []Edge { return collectEdges(g.conf) }
+func (g *Graph) ConflictEdges() []Edge { return collectEdges(g.conf, g.nConf) }
 
 // StitchEdges returns all stitch edges with U < V, sorted.
-func (g *Graph) StitchEdges() []Edge { return collectEdges(g.stit) }
+func (g *Graph) StitchEdges() []Edge { return collectEdges(g.stit, g.nStit) }
 
-func collectEdges(adj [][]int32) []Edge {
-	var out []Edge
+// collectEdges lists the edges u < v in u-major order. Rows are sorted
+// ascending (the Graph invariant), so the scan already yields (U, V) order.
+func collectEdges(adj [][]int32, count int) []Edge {
+	if count == 0 {
+		return nil
+	}
+	out := make([]Edge, 0, count)
 	for u := range adj {
 		for _, v := range adj[u] {
 			if int(v) > u {
@@ -192,12 +199,6 @@ func collectEdges(adj [][]int32) []Edge {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
 	return out
 }
 
@@ -246,38 +247,82 @@ func (g *Graph) Components() [][]int {
 // the new graph and the mapping from new indices to original vertex IDs
 // (which equals the input slice, copied). Edges of every kind are preserved
 // when both endpoints are inside the subset.
+//
+// Relabeling goes through a pooled vertex→index array of length N whose
+// entries are zero between calls (only the touched entries are reset), so
+// concurrent extractions from one graph — the division workers' components
+// — each cost O(|subset| + its adjacency), not O(N).
 func (g *Graph) Subgraph(vertices []int) (*Graph, []int) {
-	idx := make(map[int]int32, len(vertices))
+	lease, _ := g.relabel.Get().(*[]int32)
+	if lease == nil || len(*lease) < g.n {
+		b := make([]int32, g.n)
+		lease = &b
+	}
+	rel := *lease // rel[v] = subgraph index of v, plus one; 0 = outside
 	orig := make([]int, len(vertices))
 	for i, v := range vertices {
+		// A panicking call never returns its dirty lease to the pool.
 		if v < 0 || v >= g.n {
 			panic(fmt.Sprintf("graph: subgraph vertex %d out of range", v))
 		}
-		if _, dup := idx[v]; dup {
+		if rel[v] != 0 {
 			panic(fmt.Sprintf("graph: subgraph vertex %d repeated", v))
 		}
-		idx[v] = int32(i)
+		rel[v] = int32(i) + 1
 		orig[i] = v
 	}
-	sub := New(len(vertices))
-	for i, v := range vertices {
-		for _, w := range g.conf[v] {
-			if j, ok := idx[int(w)]; ok && int32(i) < j {
-				sub.AddConflict(i, int(j))
-			}
-		}
-		for _, w := range g.stit[v] {
-			if j, ok := idx[int(w)]; ok && int32(i) < j {
-				sub.AddStitch(i, int(j))
-			}
-		}
-		for _, w := range g.friend[v] {
-			if j, ok := idx[int(w)]; ok && int32(i) < j {
-				sub.AddFriend(i, int(j))
+	sub := &Graph{n: len(vertices)}
+	sub.conf, sub.nConf = induced(g.conf, vertices, rel)
+	sub.stit, sub.nStit = induced(g.stit, vertices, rel)
+	sub.friend, sub.nFriend = induced(g.friend, vertices, rel)
+	for _, v := range vertices {
+		rel[v] = 0
+	}
+	g.relabel.Put(lease)
+	return sub, orig
+}
+
+// induced relabels one edge kind onto the subset: a counting sweep sizes one
+// contiguous arena, a second fills it row by row. Rows are full-capacity
+// views, so the mutable Add* shim reallocates a row instead of overrunning
+// its neighbor. A relabeled row is sorted only if it came out unsorted
+// (vertices in non-ascending order); ascending subsets keep the source
+// order, which is already sorted.
+func induced(adj [][]int32, vertices []int, rel []int32) ([][]int32, int) {
+	rows := make([][]int32, len(vertices))
+	total := 0
+	for _, v := range vertices {
+		for _, w := range adj[v] {
+			if rel[w] != 0 {
+				total++
 			}
 		}
 	}
-	return sub, orig
+	if total == 0 {
+		return rows, 0
+	}
+	arena := make([]int32, 0, total)
+	for i, v := range vertices {
+		start := len(arena)
+		sorted := true
+		for _, w := range adj[v] {
+			if j := rel[w] - 1; j >= 0 {
+				if len(arena) > start && arena[len(arena)-1] > j {
+					sorted = false
+				}
+				arena = append(arena, j)
+			}
+		}
+		if len(arena) == start {
+			continue
+		}
+		row := arena[start:len(arena):len(arena)]
+		if !sorted {
+			slices.Sort(row)
+		}
+		rows[i] = row
+	}
+	return rows, total / 2
 }
 
 // Clone returns a deep copy of the graph.

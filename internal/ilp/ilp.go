@@ -9,6 +9,7 @@ package ilp
 import (
 	"context"
 	"math"
+	"sync"
 	"time"
 
 	"mpl/internal/lp"
@@ -85,6 +86,11 @@ type Options struct {
 
 const intTol = 1e-6
 
+// arenas recycles simplex arenas across searches: the exact engine runs one
+// search per small piece, and a warm arena already has the tableau
+// capacity the next piece needs.
+var arenas = sync.Pool{New: func() any { return new(lp.Arena) }}
+
 // Solve is SolveContext without cancellation (budget limits still apply).
 func Solve(p *Problem, opts Options) Result {
 	return SolveContext(context.Background(), p, opts)
@@ -100,10 +106,12 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) Result {
 	}
 	s := &searcher{
 		prob:    p,
+		arena:   arenas.Get().(*lp.Arena),
 		maxNode: opts.MaxNodes,
 		bestObj: math.Inf(1),
 		done:    ctx.Done(),
 	}
+	defer arenas.Put(s.arena)
 	if opts.TimeLimit > 0 {
 		// Budget expiry is not a determinism hazard: it is surfaced as
 		// Status TimedOut/Feasible, which callers map to Proven=false —
@@ -113,16 +121,24 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) Result {
 	}
 
 	// Box constraints x_j <= 1 for binary variables, shared by every node.
-	base := p.LP
-	base.Constraints = append([]lp.Constraint(nil), p.LP.Constraints...)
+	// Node LPs are this base list plus their fixings, assembled in one
+	// reused buffer: the base prefix is written once, and each node only
+	// truncates back to it and appends its own fixings. Every box and
+	// fixing row is a view of the one-term-per-variable unit slice.
+	s.unit = make([]lp.Term, p.LP.NumVars)
+	for j := range s.unit {
+		s.unit[j] = lp.Term{Var: j, Coef: 1}
+	}
+	s.node = p.LP
+	s.node.Constraints = append([]lp.Constraint(nil), p.LP.Constraints...)
 	for j, isBin := range p.Binary {
 		if isBin {
-			base.Constraints = append(base.Constraints,
-				lp.Constraint{Terms: []lp.Term{{Var: j, Coef: 1}}, Op: lp.LE, RHS: 1})
+			s.node.Constraints = append(s.node.Constraints,
+				lp.Constraint{Terms: s.unitTerm(j), Op: lp.LE, RHS: 1})
 		}
 	}
-	s.base = base
-	fixed := make([]int8, p.LP.NumVars) // -1 unfixed is 0 value; use 0=unfixed,1=zero,2=one
+	s.nBase = len(s.node.Constraints)
+	fixed := make([]int8, p.LP.NumVars) // 0 = unfixed, 1 = fixed to zero, 2 = fixed to one
 	s.branch(fixed)
 
 	switch {
@@ -139,7 +155,10 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) Result {
 
 type searcher struct {
 	prob     *Problem
-	base     lp.Problem
+	node     lp.Problem // base constraints, then the current node's fixings
+	nBase    int        // length of the base prefix of node.Constraints
+	unit     []lp.Term  // unit[j] = 1·x_j
+	arena    *lp.Arena  // tableau storage shared by every node LP
 	deadline time.Time
 	done     <-chan struct{}
 	maxNode  int
@@ -174,28 +193,32 @@ func (s *searcher) timeUp() bool {
 	return false
 }
 
+// unitTerm returns the one-term row 1·x_j as a full-capacity view.
+func (s *searcher) unitTerm(j int) []lp.Term { return s.unit[j : j+1 : j+1] }
+
 // branch explores the subproblem with the given variable fixings
-// (0 = unfixed, 1 = fixed to zero, 2 = fixed to one).
+// (0 = unfixed, 1 = fixed to zero, 2 = fixed to one). It fixes and unfixes
+// the branching variable in place, so fixed is unchanged on return.
 func (s *searcher) branch(fixed []int8) {
 	if s.timeUp() {
 		return
 	}
 	s.nodes++
 
-	// Assemble the node LP: base plus fixing constraints.
-	node := s.base
-	node.Constraints = append([]lp.Constraint(nil), s.base.Constraints...)
+	// Assemble the node LP: base plus fixing constraints. The buffer is
+	// free to reuse: a parent's LP is solved and consumed before any child
+	// rewrites it.
+	cons := s.node.Constraints[:s.nBase]
 	for j, f := range fixed {
 		switch f {
 		case 1:
-			node.Constraints = append(node.Constraints,
-				lp.Constraint{Terms: []lp.Term{{Var: j, Coef: 1}}, Op: lp.LE, RHS: 0})
+			cons = append(cons, lp.Constraint{Terms: s.unitTerm(j), Op: lp.LE, RHS: 0})
 		case 2:
-			node.Constraints = append(node.Constraints,
-				lp.Constraint{Terms: []lp.Term{{Var: j, Coef: 1}}, Op: lp.GE, RHS: 1})
+			cons = append(cons, lp.Constraint{Terms: s.unitTerm(j), Op: lp.GE, RHS: 1})
 		}
 	}
-	rel := lp.Solve(&node)
+	s.node.Constraints = cons
+	rel := s.arena.Solve(&s.node)
 	switch rel.Status {
 	case lp.Infeasible:
 		return
@@ -246,12 +269,12 @@ func (s *searcher) branch(fixed []int8) {
 	if rel.X[branchVar] >= 0.5 {
 		first, second = 2, 1
 	}
-	for _, dir := range []int8{first, second} {
-		child := append([]int8(nil), fixed...)
-		child[branchVar] = dir
-		s.branch(child)
+	for _, dir := range [2]int8{first, second} {
+		fixed[branchVar] = dir
+		s.branch(fixed)
 		if s.stopped {
-			return
+			break
 		}
 	}
+	fixed[branchVar] = 0
 }

@@ -105,27 +105,52 @@ const (
 	blandAfter = 2000 // pivots before switching to Bland's rule
 )
 
-// tableau is the dense simplex tableau: rows = constraints, one extra
-// objective row; columns = structural + slack + artificial variables plus
-// the RHS column.
-type tableau struct {
-	m, n  int // constraint rows, total columns (excluding RHS)
-	a     [][]float64
+// Arena is the working storage of the simplex: the dense tableau
+// (rows = constraints; columns = structural + slack + artificial variables,
+// with the RHS kept apart) and its per-solve vectors, in flat slices that
+// grow to the largest problem seen and are reused afterwards. A
+// branch-and-bound search owns one Arena and solves every node LP in it
+// instead of allocating a fresh tableau per node. The zero Arena is ready
+// to use; an Arena is not safe for concurrent use.
+type Arena struct {
+	m, n  int       // constraint rows, total columns (excluding RHS)
+	a     []float64 // m×n tableau, row-major
 	rhs   []float64
 	basis []int // basis[i] = column basic in row i
+	art   []bool
+	cost  []float64 // reduced-cost row
+	obj   []float64 // current phase objective
+	nz    []int     // nonzero columns of the last scaled pivot row
+	x     []float64
 }
 
-// Solve optimizes the problem. A nil Objective is treated as all zeros
-// (pure feasibility).
+// Solve optimizes the problem in a fresh Arena. A nil Objective is treated
+// as all zeros (pure feasibility).
 func Solve(p *Problem) Result {
+	var ar Arena
+	return ar.Solve(p)
+}
+
+// zeroed returns s resized to n with every element zero, reallocating only
+// when s is too short.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Solve optimizes the problem reusing the arena's storage. The result is
+// bit-identical to Solve's; its X aliases the arena and stays valid only
+// until the arena's next Solve.
+func (t *Arena) Solve(p *Problem) Result {
 	if p.NumVars < 0 {
 		panic("lp: negative NumVars")
 	}
 	obj := p.Objective
-	if obj == nil {
-		obj = make([]float64, p.NumVars)
-	}
-	if len(obj) != p.NumVars {
+	if obj != nil && len(obj) != p.NumVars {
 		panic(fmt.Sprintf("lp: objective has %d entries for %d vars", len(obj), p.NumVars))
 	}
 
@@ -152,18 +177,15 @@ func Solve(p *Problem) Result {
 		}
 	}
 	n := nStruct + nSlack + nArt
-	t := &tableau{
-		m:     m,
-		n:     n,
-		a:     make([][]float64, m),
-		rhs:   make([]float64, m),
-		basis: make([]int, m),
-	}
-	artCols := make([]bool, n)
+	t.m, t.n = m, n
+	t.a = zeroed(t.a, m*n)
+	t.rhs = zeroed(t.rhs, m)
+	t.basis = zeroed(t.basis, m)
+	t.art = zeroed(t.art, n)
 	slackAt := nStruct
 	artAt := nStruct + nSlack
 	for i, c := range p.Constraints {
-		row := make([]float64, n)
+		row := t.row(i)
 		sign := 1.0
 		op := c.Op
 		rhs := c.RHS
@@ -187,28 +209,27 @@ func Solve(p *Problem) Result {
 			row[slackAt] = -1
 			slackAt++
 			row[artAt] = 1
-			artCols[artAt] = true
+			t.art[artAt] = true
 			t.basis[i] = artAt
 			artAt++
 		case EQ:
 			row[artAt] = 1
-			artCols[artAt] = true
+			t.art[artAt] = true
 			t.basis[i] = artAt
 			artAt++
 		}
-		t.a[i] = row
 		t.rhs[i] = rhs
 	}
 
 	// Phase 1: minimize the sum of artificial variables.
 	if nArt > 0 {
-		phase1 := make([]float64, n)
-		for j := range artCols {
-			if artCols[j] {
-				phase1[j] = 1
+		t.obj = zeroed(t.obj, n)
+		for j, isArt := range t.art {
+			if isArt {
+				t.obj[j] = 1
 			}
 		}
-		st, obj1 := t.optimize(phase1, nil)
+		st, obj1 := t.optimize(nil)
 		if st == IterLimit {
 			return Result{Status: IterLimit}
 		}
@@ -217,14 +238,14 @@ func Solve(p *Problem) Result {
 		}
 		// Pivot remaining artificials out of the basis where possible.
 		for i := 0; i < m; i++ {
-			if !artCols[t.basis[i]] {
+			if !t.art[t.basis[i]] {
 				continue
 			}
-			pivoted := false
-			for j := 0; j < n && !pivoted; j++ {
-				if !artCols[j] && math.Abs(t.a[i][j]) > 1e-7 {
+			row := t.row(i)
+			for j := 0; j < n; j++ {
+				if !t.art[j] && math.Abs(row[j]) > 1e-7 {
 					t.pivot(i, j)
-					pivoted = true
+					break
 				}
 			}
 			// If no pivot exists the row is redundant; the artificial stays
@@ -233,19 +254,19 @@ func Solve(p *Problem) Result {
 	}
 
 	// Phase 2: minimize the real objective with artificial columns barred.
-	fullObj := make([]float64, n)
-	copy(fullObj, obj)
-	st, objVal := t.optimize(fullObj, artCols)
+	t.obj = zeroed(t.obj, n)
+	copy(t.obj, obj)
+	st, objVal := t.optimize(t.art)
 	if st != Optimal {
 		return Result{Status: st}
 	}
-	x := make([]float64, nStruct)
+	t.x = zeroed(t.x, nStruct)
 	for i, b := range t.basis {
 		if b < nStruct {
-			x[b] = t.rhs[i]
+			t.x[b] = t.rhs[i]
 		}
 	}
-	return Result{Status: Optimal, X: x, Obj: objVal}
+	return Result{Status: Optimal, X: t.x, Obj: objVal}
 }
 
 func flip(op Op) Op {
@@ -258,21 +279,25 @@ func flip(op Op) Op {
 	return EQ
 }
 
-// optimize runs primal simplex minimizing obj over the current tableau.
+// row returns tableau row i as a view into the arena.
+func (t *Arena) row(i int) []float64 { return t.a[i*t.n : (i+1)*t.n : (i+1)*t.n] }
+
+// optimize runs primal simplex minimizing t.obj over the current tableau.
 // barred marks columns that may not enter the basis (artificials in
 // phase 2). It returns the status and the objective value.
-func (t *tableau) optimize(obj []float64, barred []bool) (Status, float64) {
+func (t *Arena) optimize(barred []bool) (Status, float64) {
 	// Reduced-cost row: z_j = obj_j - Σ_i obj[basis[i]] * a[i][j].
 	// Maintained implicitly: recompute from scratch each pivot would be
 	// O(mn); instead keep an explicit cost row and eliminate basic columns.
-	cost := make([]float64, t.n)
-	copy(cost, obj)
+	t.cost = append(t.cost[:0], t.obj...)
+	cost := t.cost
 	objVal := 0.0
 	for i, b := range t.basis {
 		if cost[b] != 0 {
 			c := cost[b]
+			row := t.row(i)
 			for j := 0; j < t.n; j++ {
-				cost[j] -= c * t.a[i][j]
+				cost[j] -= c * row[j]
 			}
 			objVal -= c * t.rhs[i]
 		}
@@ -308,7 +333,7 @@ func (t *tableau) optimize(obj []float64, barred []bool) (Status, float64) {
 		leave := -1
 		bestRatio := math.Inf(1)
 		for i := 0; i < t.m; i++ {
-			aij := t.a[i][enter]
+			aij := t.a[i*t.n+enter]
 			if aij > eps {
 				r := t.rhs[i] / aij
 				if r < bestRatio-eps || (r < bestRatio+eps && (leave < 0 || t.basis[i] < t.basis[leave])) {
@@ -321,11 +346,13 @@ func (t *tableau) optimize(obj []float64, barred []bool) (Status, float64) {
 			return Unbounded, 0
 		}
 		t.pivot(leave, enter)
-		// Update the cost row for the pivot.
+		// Update the cost row for the pivot: only the pivot row's nonzero
+		// columns can change it.
 		c := cost[enter]
 		if c != 0 {
-			for j := 0; j < t.n; j++ {
-				cost[j] -= c * t.a[leave][j]
+			rowL := t.row(leave)
+			for _, j := range t.nz {
+				cost[j] -= c * rowL[j]
 			}
 			objVal -= c * t.rhs[leave]
 		}
@@ -333,12 +360,19 @@ func (t *tableau) optimize(obj []float64, barred []bool) (Status, float64) {
 }
 
 // pivot makes column enter basic in row leave via Gauss–Jordan elimination.
-func (t *tableau) pivot(leave, enter int) {
-	piv := t.a[leave][enter]
-	inv := 1 / piv
-	rowL := t.a[leave]
-	for j := 0; j < t.n; j++ {
-		rowL[j] *= inv
+// The scaled pivot row's nonzero columns are gathered once into t.nz, and
+// the elimination sweep touches only those: every skipped term is an exact
+// x − f·0, so the result matches a dense sweep bit for bit (up to the sign
+// of zeros, which no comparison or nonzero value can observe).
+func (t *Arena) pivot(leave, enter int) {
+	rowL := t.row(leave)
+	inv := 1 / rowL[enter]
+	t.nz = t.nz[:0]
+	for j, v := range rowL {
+		if v != 0 {
+			rowL[j] = v * inv
+			t.nz = append(t.nz, j)
+		}
 	}
 	t.rhs[leave] *= inv
 	rowL[enter] = 1 // exact
@@ -346,12 +380,12 @@ func (t *tableau) pivot(leave, enter int) {
 		if i == leave {
 			continue
 		}
-		f := t.a[i][enter]
+		row := t.row(i)
+		f := row[enter]
 		if f == 0 {
 			continue
 		}
-		row := t.a[i]
-		for j := 0; j < t.n; j++ {
+		for _, j := range t.nz {
 			row[j] -= f * rowL[j]
 		}
 		t.rhs[i] -= f * t.rhs[leave]

@@ -55,16 +55,25 @@ func putStamps(b []int32) {
 // identified by the integer ID supplied at insertion. Entries are bucketed by
 // every cell their bounding box overlaps, so queries must deduplicate; the
 // Grid handles that internally with a visit-stamp array.
+//
+// Buckets are stored CSR-style: cell c's ids are ids[start[c]:start[c+1]],
+// two flat pointer-free int32 arrays built count-then-fill from the inserted
+// bounds when the grid freezes. Freezing happens once, at the first query
+// (Near or NewQuerier); within a cell ids stay in insertion order, so the
+// enumeration order is exactly that of per-cell append buckets. An Insert
+// after the freeze panics instead of silently missing from the buckets.
 type Grid struct {
-	cell    int // cell edge length
-	minX    int
-	minY    int
-	cols    int
-	rows    int
-	buckets [][]int32
-	bounds  []geom.Rect // per-ID bounding boxes
-	stamp   []int32     // visit stamps for deduplication
-	visit   int32
+	cell   int // cell edge length
+	minX   int
+	minY   int
+	cols   int
+	rows   int
+	start  []int32     // cell offsets into ids, len cols·rows+1 once frozen
+	ids    []int32     // bucket contents, cell-major
+	bounds []geom.Rect // per-ID bounding boxes
+	stamp  []int32     // visit stamps for deduplication
+	visit  int32
+	freeze sync.Once
 }
 
 // NewGrid creates a grid covering the world rectangle with the given cell
@@ -83,14 +92,13 @@ func NewGrid(world geom.Rect, cell int, capHint int) *Grid {
 		rows = 1
 	}
 	return &Grid{
-		cell:    cell,
-		minX:    world.X0,
-		minY:    world.Y0,
-		cols:    cols,
-		rows:    rows,
-		buckets: make([][]int32, cols*rows),
-		bounds:  make([]geom.Rect, 0, capHint),
-		stamp:   getStamps(capHint),
+		cell:   cell,
+		minX:   world.X0,
+		minY:   world.Y0,
+		cols:   cols,
+		rows:   rows,
+		bounds: make([]geom.Rect, 0, capHint),
+		stamp:  getStamps(capHint),
 	}
 }
 
@@ -136,22 +144,59 @@ func (g *Grid) cellRange(r geom.Rect) (c0, r0, c1, r1 int) {
 // Insert adds a rectangle under the next sequential ID (0, 1, 2, ...) and
 // returns that ID. IDs are dense and stable. Insert panics with a clear
 // diagnosis when the grid is at MaxEntries — the int32 ID would otherwise
-// wrap silently.
+// wrap silently — or when the grid is already frozen by a query.
 func (g *Grid) Insert(r geom.Rect) int {
+	if g.start != nil {
+		panic("spatial: Insert after the grid was frozen by a query")
+	}
 	if len(g.bounds) >= maxEntries {
 		panic(fmt.Sprintf("spatial: grid full at %d entries; int32 ids cannot address more", maxEntries))
 	}
-	id := int32(len(g.bounds))
+	id := len(g.bounds)
 	g.bounds = append(g.bounds, r)
 	g.stamp = append(g.stamp, 0)
-	c0, r0, c1, r1 := g.cellRange(r)
-	for row := r0; row <= r1; row++ {
-		for col := c0; col <= c1; col++ {
-			idx := row*g.cols + col
-			g.buckets[idx] = append(g.buckets[idx], id)
+	return id
+}
+
+// build freezes the grid into its CSR buckets: one sweep counts every
+// cell's entries, a prefix sum turns the counts into offsets, and a second
+// sweep scatters ids in insertion order. It runs exactly once, through
+// g.freeze, so concurrent first queries (the NewQuerier fan-out of a
+// parallel build) all observe the finished arrays.
+func (g *Grid) build() {
+	start := make([]int32, g.cols*g.rows+1)
+	total := 0
+	for _, r := range g.bounds {
+		c0, r0, c1, r1 := g.cellRange(r)
+		total += (c1 - c0 + 1) * (r1 - r0 + 1)
+		for row := r0; row <= r1; row++ {
+			for col := c0; col <= c1; col++ {
+				start[row*g.cols+col+1]++
+			}
 		}
 	}
-	return int(id)
+	if total > maxEntries {
+		panic(fmt.Sprintf("spatial: %d bucket entries exceed int32 offsets (max %d)", total, maxEntries))
+	}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	ids := make([]int32, total)
+	for id, r := range g.bounds {
+		c0, r0, c1, r1 := g.cellRange(r)
+		for row := r0; row <= r1; row++ {
+			for col := c0; col <= c1; col++ {
+				c := row*g.cols + col
+				ids[start[c]] = int32(id)
+				start[c]++
+			}
+		}
+	}
+	// The fill advanced start[c] to the end of cell c, which is where cell
+	// c+1 begins: shift back by one cell to recover the offsets.
+	copy(start[1:], start[:len(start)-1])
+	start[0] = 0
+	g.start, g.ids = start, ids
 }
 
 // Len returns the number of inserted rectangles.
@@ -167,6 +212,7 @@ func (g *Grid) Bounds(id int) geom.Rect { return g.bounds[id] }
 // grid's visit stamps, so it is not safe for concurrent use — concurrent
 // readers use per-goroutine Queriers instead.
 func (g *Grid) Near(q geom.Rect, radius int, fn func(id int)) {
+	g.freeze.Do(g.build)
 	g.near(g.stamp, &g.visit, q, radius, fn)
 }
 
@@ -193,7 +239,8 @@ func (g *Grid) near(stamp []int32, visit *int32, q geom.Rect, radius int, fn fun
 	c0, r0, c1, r1 := g.cellRange(expanded)
 	for row := r0; row <= r1; row++ {
 		for col := c0; col <= c1; col++ {
-			for _, id := range g.buckets[row*g.cols+col] {
+			c := row*g.cols + col
+			for _, id := range g.ids[g.start[c]:g.start[c+1]] {
 				if stamp[id] == *visit {
 					continue
 				}
@@ -209,8 +256,8 @@ func (g *Grid) near(stamp []int32, visit *int32, q geom.Rect, radius int, fn fun
 // Querier is a read-only query cursor over a frozen Grid with its own
 // visit-stamp state, so multiple goroutines can run Near queries over one
 // shared grid concurrently (the parallel graph-construction shards of
-// internal/core). The grid must not receive further Inserts while queriers
-// exist: a querier's stamp array is sized at creation time.
+// internal/core). Creating a querier freezes the grid, so no Insert can
+// outgrow the querier's stamp array, which is sized at creation time.
 type Querier struct {
 	g     *Grid
 	stamp []int32
@@ -222,6 +269,7 @@ type Querier struct {
 // concurrent use with itself. Pair with Release to recycle its stamp
 // array across builds.
 func (g *Grid) NewQuerier() *Querier {
+	g.freeze.Do(g.build)
 	return &Querier{g: g, stamp: getStamps(len(g.bounds))[:len(g.bounds)]}
 }
 
