@@ -7,10 +7,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -202,16 +203,18 @@ type builder struct {
 	hp      int
 	workers int
 
-	// Stage 1 output, indexed by feature.
-	pieces   [][]geom.Polygon
-	stitches [][][2]int // per feature: local piece index pairs touching (gap 0)
+	// Stage 1 output: per feature, where its pieces sit in the rect arena
+	// of its split chunk (feature fi belongs to chunk fi/splitChunk). A
+	// zero span means the feature stays whole.
+	spans      []pieceSpan
+	rects      [][]geom.Rect
+	splitChunk int
 
 	// Stage 2 output.
-	frags          []Fragment
-	fragsOfFeature [][]int
-	bld            *graph.Builder
-	g              *graph.Graph
-	stats          BuildStats
+	frags []Fragment
+	bld   *graph.Builder
+	g     *graph.Graph
+	stats BuildStats
 
 	// Stage 3 output, indexed by shard chunk: flat (u,v) conflict and
 	// color-friendly pairs, u < v (owner-computes dedup). Each chunk is
@@ -303,17 +306,20 @@ func (b *builder) runSharded(ctx context.Context, n int, stage string, fn func(c
 	return nil
 }
 
-// splitFeatures runs stage 1: per-feature stitch splitting plus local
-// stitch-pair detection, sharded across the worker pool. Output depends
-// only on the feature index, never on the shard that computed it.
+// pieceSpan locates the pieces of one divided wire in its chunk's rect
+// arena: n rects starting at off. n == 0 means the feature stays whole.
+type pieceSpan struct {
+	off, n int32
+}
+
+// splitFeatures runs stage 1: per-feature stitch splitting, sharded across
+// the worker pool. Each chunk appends the pieces of its divided wires to
+// its own rect arena, so output depends only on the feature index, never on
+// the shard that computed it.
 func (b *builder) splitFeatures(ctx context.Context) error {
 	nf := len(b.l.Features)
-	b.pieces = make([][]geom.Polygon, nf)
-	b.stitches = make([][][2]int, nf)
+	b.spans = make([]pieceSpan, nf)
 	if b.opts.DisableStitches {
-		for fi := range b.l.Features {
-			b.pieces[fi] = []geom.Polygon{b.l.Features[fi]}
-		}
 		return nil
 	}
 	minSeg := b.opts.StitchMinSeg
@@ -328,55 +334,72 @@ func (b *builder) splitFeatures(ctx context.Context) error {
 	defer splitter.grid.Release()
 	queriers := newQuerierLease(splitter.grid)
 	defer queriers.release()
-	return b.runSharded(ctx, nf, "stitch splitting", func(_, lo, hi int) {
-		q := queriers.get()
-		defer queriers.put(q)
+	var nChunks int
+	b.splitChunk, nChunks = b.shardPlan(nf)
+	b.rects = make([][]geom.Rect, nChunks)
+	return b.runSharded(ctx, nf, "stitch splitting", func(ci, lo, hi int) {
+		sc := splitScratch{q: queriers.get()}
+		defer queriers.put(sc.q)
 		for fi := lo; fi < hi; fi++ {
-			ps := splitter.split(q, fi, b.l.Features[fi])
-			b.pieces[fi] = ps
-			// Touching pieces of one feature are stitch candidates; record
-			// local pairs now so the merge only replays them.
-			for i := 0; i < len(ps); i++ {
-				for j := i + 1; j < len(ps); j++ {
-					if geom.GapSqPoly(ps[i], ps[j]) == 0 {
-						b.stitches[fi] = append(b.stitches[fi], [2]int{i, j})
-					}
-				}
+			off := len(sc.rects)
+			if n := splitter.splitInto(&sc, fi, b.l.Features[fi]); n > 0 {
+				b.spans[fi] = pieceSpan{off: int32(off), n: int32(n)}
 			}
 		}
+		b.rects[ci] = sc.rects
 	})
 }
 
 // assembleFragments runs stage 2: deterministic fragment numbering in
-// feature order and stitch-pair staging into the CSR builder. It returns an
-// error — instead of letting graph.NewBuilder panic — when the fragment
-// count exceeds the int32 vertex-id capacity, so million-feature inputs that
-// overshoot fail with a diagnosis rather than silent id truncation.
+// feature order and stitch-pair staging into the CSR builder. A whole
+// feature's fragment references the layout polygon; a divided wire's
+// fragments are capacity-clipped one-rect views into the split arena. It
+// returns an error — instead of letting graph.NewBuilder panic — when the
+// fragment count exceeds the int32 vertex-id capacity, so million-feature
+// inputs that overshoot fail with a diagnosis rather than silent id
+// truncation.
 func (b *builder) assembleFragments() error {
 	total := 0
-	for _, ps := range b.pieces {
-		total += len(ps)
+	for _, p := range b.spans {
+		total += max(int(p.n), 1)
 	}
 	if total > graph.MaxVertices {
 		return fmt.Errorf("core: layout splits into %d fragments, exceeding the graph capacity of %d vertices", total, graph.MaxVertices)
 	}
 	b.frags = make([]Fragment, 0, total)
-	b.fragsOfFeature = make([][]int, len(b.pieces))
-	for fi, ps := range b.pieces {
-		for _, p := range ps {
-			b.fragsOfFeature[fi] = append(b.fragsOfFeature[fi], len(b.frags))
-			b.frags = append(b.frags, Fragment{Feature: fi, Shape: p})
+	b.bld = graph.NewBuilder(total)
+	b.stats = BuildStats{Features: len(b.l.Features), Fragments: total}
+	for fi, p := range b.spans {
+		var arena []geom.Rect
+		if p.n > 0 {
+			arena = b.rects[fi/b.splitChunk]
+		}
+		base := len(b.frags)
+		b.frags = appendFragments(b.frags, fi, b.l.Features[fi], p, arena)
+		// Touching pieces of one wire are stitch candidates.
+		for i := base; i < len(b.frags); i++ {
+			for j := i + 1; j < len(b.frags); j++ {
+				if geom.GapSqPoly(b.frags[i].Shape, b.frags[j].Shape) == 0 {
+					b.bld.AddStitch(i, j)
+				}
+			}
 		}
 	}
-	b.bld = graph.NewBuilder(len(b.frags))
-	b.stats = BuildStats{Features: len(b.l.Features), Fragments: len(b.frags)}
-	for fi, pairs := range b.stitches {
-		ids := b.fragsOfFeature[fi]
-		for _, pr := range pairs {
-			b.bld.AddStitch(ids[pr[0]], ids[pr[1]])
-		}
-	}
+	b.spans, b.rects = nil, nil
 	return nil
+}
+
+// appendFragments appends the fragments of feature fi: the whole polygon f
+// when sp is zero, otherwise one capacity-clipped one-rect view per piece
+// of arena[sp.off : sp.off+sp.n].
+func appendFragments(frags []Fragment, fi int, f geom.Polygon, sp pieceSpan, arena []geom.Rect) []Fragment {
+	if sp.n == 0 {
+		return append(frags, Fragment{Feature: fi, Shape: f})
+	}
+	for at := int(sp.off); at < int(sp.off+sp.n); at++ {
+		frags = append(frags, Fragment{Feature: fi, Shape: geom.Polygon{Rects: arena[at : at+1 : at+1]}})
+	}
+	return frags
 }
 
 // discoverEdges runs stage 3: conflict and color-friendly candidate
@@ -410,25 +433,7 @@ func (b *builder) discoverEdges(ctx context.Context) error {
 		_, nChunks := b.shardPlan(n)
 		b.confShard = make([][]int32, nChunks)
 		b.friendShard = make([][]int32, nChunks)
-		order = make([]int32, n)
-		for i := range order {
-			order[i] = int32(i)
-		}
-		tile := make([]int32, n)
-		tileSize := 4 * radius
-		cols := world.Width()/tileSize + 1
-		for i, fr := range b.frags {
-			bb := fr.Shape.Bounds()
-			tx := ((bb.X0+bb.X1)/2 - world.X0) / tileSize
-			ty := ((bb.Y0+bb.Y1)/2 - world.Y0) / tileSize
-			tile[i] = int32(ty*cols + tx)
-		}
-		sort.Slice(order, func(a, c int) bool {
-			if tile[order[a]] != tile[order[c]] {
-				return tile[order[a]] < tile[order[c]]
-			}
-			return order[a] < order[c]
-		})
+		order = tileOrder(fragmentTiles(b.frags, world, radius))
 	}
 
 	minSq := int64(b.minS) * int64(b.minS)
@@ -479,6 +484,41 @@ func (b *builder) discoverEdges(ctx context.Context) error {
 		}
 		b.confShard[ci], b.friendShard[ci] = conf, friend
 	})
+}
+
+// fragmentTiles assigns every fragment the coarse tile containing its
+// bounds center: 4·radius squares over world, row-major. The tile count is
+// about a sixteenth of the cell count of the radius-sized fragment grid the
+// build allocates anyway, so tileOrder's buckets never dominate it.
+func fragmentTiles(frags []Fragment, world geom.Rect, radius int) (tile []int32, nTiles int) {
+	tileSize := 4 * radius
+	cols, rows := world.Width()/tileSize+1, world.Height()/tileSize+1
+	tile = make([]int32, len(frags))
+	for i, fr := range frags {
+		bb := fr.Shape.Bounds()
+		tx := ((bb.X0+bb.X1)/2 - world.X0) / tileSize
+		ty := ((bb.Y0+bb.Y1)/2 - world.Y0) / tileSize
+		tile[i] = int32(ty*cols + tx)
+	}
+	return tile, cols * rows
+}
+
+// tileOrder returns the indices of tile ordered by (tile, index): a stable
+// counting sort over tile ids in [0, nTiles), O(len(tile) + nTiles).
+func tileOrder(tile []int32, nTiles int) []int32 {
+	start := make([]int32, nTiles+1)
+	for _, t := range tile {
+		start[t+1]++
+	}
+	for t := 0; t < nTiles; t++ {
+		start[t+1] += start[t]
+	}
+	order := make([]int32, len(tile))
+	for i, t := range tile {
+		order[start[t]] = int32(i)
+		start[t]++
+	}
+	return order
 }
 
 // finishGraph runs stage 4: drain the per-shard edge lists into the CSR
@@ -578,15 +618,30 @@ func newStitchSplitter(l *layout.Layout, minS, minSeg, maxCount int) *stitchSpli
 	return s
 }
 
-// split returns the fragment polygons of one feature: single-rectangle
-// wire features may be divided at stitch candidates; everything else stays
-// whole. (Stitches inside complex polygons exist in practice but the
-// paper's stitch model — one candidate per uncovered projection interval —
-// is defined on wires; see DESIGN.md §5.) Queries go through the caller's
-// Querier so shards can split concurrently over the shared grid.
-func (s *stitchSplitter) split(q *spatial.Querier, fi int, f geom.Polygon) []geom.Polygon {
+// interval is one forbidden projection range of a wire being split.
+type interval struct{ lo, hi int }
+
+// splitScratch is one shard's reusable split state: its grid querier, the
+// forbidden-interval and cut buffers of the feature being split, and the
+// shard's rect arena, which receives the pieces of every divided wire.
+type splitScratch struct {
+	q         *spatial.Querier
+	forbidden []interval
+	cuts      []int
+	rects     []geom.Rect
+}
+
+// splitInto divides one feature at its stitch candidates, appending the
+// pieces to sc.rects and returning how many it appended; 0 means the
+// feature stays whole. Only single-rectangle wire features may be divided;
+// everything else stays whole. (Stitches inside complex polygons exist in
+// practice but the paper's stitch model — one candidate per uncovered
+// projection interval — is defined on wires; see DESIGN.md §5.) Queries go
+// through the shard's Querier so shards can split concurrently over the
+// shared grid.
+func (s *stitchSplitter) splitInto(sc *splitScratch, fi int, f geom.Polygon) int {
 	if len(f.Rects) != 1 {
-		return []geom.Polygon{f}
+		return 0
 	}
 	r := f.Rects[0]
 	horizontal := r.Width() >= r.Height()
@@ -595,15 +650,14 @@ func (s *stitchSplitter) split(q *spatial.Querier, fi int, f geom.Polygon) []geo
 		length = r.Height()
 	}
 	if length < 2*s.minSeg {
-		return []geom.Polygon{f}
+		return 0
 	}
 
 	// Forbidden intervals: projections of conflicting neighbor rectangles,
 	// expanded by minSeg so a stitch keeps clearance from the region where
 	// the neighbor actually constrains the wire.
-	type iv struct{ lo, hi int }
-	var forbidden []iv
-	q.Near(r, s.minS, func(id int) {
+	forbidden := sc.forbidden[:0]
+	sc.q.Near(r, s.minS, func(id int) {
 		if s.owner[id] == fi {
 			return
 		}
@@ -612,11 +666,12 @@ func (s *stitchSplitter) split(q *spatial.Querier, fi int, f geom.Polygon) []geo
 			return
 		}
 		if horizontal {
-			forbidden = append(forbidden, iv{nr.X0 - s.minSeg, nr.X1 + s.minSeg})
+			forbidden = append(forbidden, interval{nr.X0 - s.minSeg, nr.X1 + s.minSeg})
 		} else {
-			forbidden = append(forbidden, iv{nr.Y0 - s.minSeg, nr.Y1 + s.minSeg})
+			forbidden = append(forbidden, interval{nr.Y0 - s.minSeg, nr.Y1 + s.minSeg})
 		}
 	})
+	sc.forbidden = forbidden
 
 	lo, hi := r.X0, r.X1
 	if !horizontal {
@@ -625,12 +680,14 @@ func (s *stitchSplitter) split(q *spatial.Querier, fi int, f geom.Polygon) []geo
 	// Candidate window: stitches must leave minSeg on both sides.
 	winLo, winHi := lo+s.minSeg, hi-s.minSeg
 	if winLo >= winHi {
-		return []geom.Polygon{f}
+		return 0
 	}
-	sort.Slice(forbidden, func(a, b int) bool { return forbidden[a].lo < forbidden[b].lo })
+	// The gap walk below depends only on the multiset of intervals, so the
+	// order among equal lo values cannot matter.
+	slices.SortFunc(forbidden, func(a, b interval) int { return cmp.Compare(a.lo, b.lo) })
 
 	// Walk the window collecting allowed gaps; one stitch per gap midpoint.
-	var cuts []int
+	cuts := sc.cuts[:0]
 	cursor := winLo
 	emit := func(gapLo, gapHi int) {
 		if len(cuts) >= s.maxCount {
@@ -655,28 +712,30 @@ func (s *stitchSplitter) split(q *spatial.Querier, fi int, f geom.Polygon) []geo
 	if cursor < winHi {
 		emit(cursor, winHi)
 	}
+	sc.cuts = cuts
 	if len(cuts) == 0 {
-		return []geom.Polygon{f}
+		return 0
 	}
-	sort.Ints(cuts)
+	slices.Sort(cuts)
 
-	var out []geom.Polygon
+	piece := func(a, b int) geom.Rect {
+		if horizontal {
+			return geom.Rect{X0: a, Y0: r.Y0, X1: b, Y1: r.Y1}
+		}
+		return geom.Rect{X0: r.X0, Y0: a, X1: r.X1, Y1: b}
+	}
+	start := len(sc.rects)
 	prev := lo
 	for _, c := range cuts {
 		if c <= prev || c >= hi {
 			continue
 		}
-		if horizontal {
-			out = append(out, geom.NewPolygon(geom.Rect{X0: prev, Y0: r.Y0, X1: c, Y1: r.Y1}))
-		} else {
-			out = append(out, geom.NewPolygon(geom.Rect{X0: r.X0, Y0: prev, X1: r.X1, Y1: c}))
-		}
+		sc.rects = append(sc.rects, piece(prev, c))
 		prev = c
 	}
-	if horizontal {
-		out = append(out, geom.NewPolygon(geom.Rect{X0: prev, Y0: r.Y0, X1: hi, Y1: r.Y1}))
-	} else {
-		out = append(out, geom.NewPolygon(geom.Rect{X0: r.X0, Y0: prev, X1: r.X1, Y1: hi}))
+	if len(sc.rects) == start {
+		return 0 // no cut survived: the single piece is the whole wire
 	}
-	return out
+	sc.rects = append(sc.rects, piece(prev, hi))
+	return len(sc.rects) - start
 }

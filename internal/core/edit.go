@@ -346,39 +346,52 @@ func rebuildGraph(l, newL *layout.Layout, prev *Result, plan *editPlan, opts Opt
 			})
 		}
 	}
-	pieces := make([][]geom.Polygon, nf)
-	var q *spatial.Querier
+	// Re-split features append their pieces to one rect arena; spans[fi]
+	// locates a rebuilt feature's pieces there (n == 0: the feature is whole).
+	var sc splitScratch
 	if splitter != nil {
-		q = splitter.grid.NewQuerier()
-		defer q.Release()
+		sc.q = splitter.grid.NewQuerier()
+		defer sc.q.Release()
 		defer splitter.grid.Release()
 	}
-	split := func(fi int) []geom.Polygon {
+	split := func(fi int) pieceSpan {
 		if splitter == nil {
-			return []geom.Polygon{plan.feats[fi].shape}
+			return pieceSpan{}
 		}
-		return splitter.split(q, fi, plan.feats[fi].shape)
+		off := len(sc.rects)
+		return pieceSpan{off: int32(off), n: int32(splitter.splitInto(&sc, fi, plan.feats[fi].shape))}
 	}
-	oldPieces := func(orig int) []geom.Polygon {
-		ids := oldFragsOf[orig]
-		out := make([]geom.Polygon, len(ids))
+	// samePieces reports whether the fresh split sp of feature fi equals
+	// its prior fragmentation.
+	samePieces := func(fi int, sp pieceSpan) bool {
+		ids := oldFragsOf[plan.feats[fi].orig]
+		if sp.n == 0 {
+			return len(ids) == 1 && slices.Equal(pg.Fragments[ids[0]].Shape.Rects, plan.feats[fi].shape.Rects)
+		}
+		if len(ids) != int(sp.n) {
+			return false
+		}
 		for k, id := range ids {
-			out[k] = pg.Fragments[id].Shape
+			at := int(sp.off) + k
+			if !slices.Equal(pg.Fragments[id].Shape.Rects, sc.rects[at:at+1]) {
+				return false
+			}
 		}
-		return out
+		return true
 	}
-	for fi, fs := range plan.feats {
+	spans := make([]pieceSpan, nf)
+	for fi := range plan.feats {
 		switch {
 		case rebuild[fi]:
-			pieces[fi] = split(fi)
+			spans[fi] = split(fi)
 		case suspect[fi]:
-			ps := split(fi)
-			if !piecesEqual(ps, oldPieces(fs.orig)) {
+			sp := split(fi)
+			if samePieces(fi, sp) {
+				sc.rects = sc.rects[:sp.off] // stable: keep the prior pieces
+			} else {
 				rebuild[fi] = true
+				spans[fi] = sp
 			}
-			pieces[fi] = ps // identical to the prior pieces when stable
-		default:
-			pieces[fi] = oldPieces(fs.orig)
 		}
 		if rebuild[fi] {
 			es.RebuiltFeatures++
@@ -392,19 +405,18 @@ func rebuildGraph(l, newL *layout.Layout, prev *Result, plan *editPlan, opts Opt
 	for i := range oldToNew {
 		oldToNew[i] = -1
 	}
-	for fi := range plan.feats {
+	for fi, fs := range plan.feats {
 		base := len(frags)
-		for _, p := range pieces[fi] {
-			frags = append(frags, Fragment{Feature: fi, Shape: p})
+		if rebuild[fi] {
+			frags = appendFragments(frags, fi, fs.shape, spans[fi], sc.rects)
+			es.RebuiltFragments += len(frags) - base
+			continue
 		}
-		if !rebuild[fi] {
-			for k, of := range oldFragsOf[plan.feats[fi].orig] {
-				oldToNew[of] = int32(base + k)
-			}
-			es.ReusedFragments += len(pieces[fi])
-		} else {
-			es.RebuiltFragments += len(pieces[fi])
+		for k, of := range oldFragsOf[fs.orig] {
+			frags = append(frags, Fragment{Feature: fi, Shape: pg.Fragments[of].Shape})
+			oldToNew[of] = int32(base + k)
 		}
+		es.ReusedFragments += len(frags) - base
 	}
 	nNew := len(frags)
 	newToOld := make([]int32, nNew)
@@ -492,19 +504,21 @@ func rebuildGraph(l, newL *layout.Layout, prev *Result, plan *editPlan, opts Opt
 	// byte-identical to BuildGraph(newL).
 	g := graph.New(nNew)
 	stats := BuildStats{Features: nf, Fragments: nNew, Workers: 1}
-	base := 0
-	for fi := range plan.feats {
-		ps := pieces[fi]
-		if !opts.Build.DisableStitches {
-			for i := 0; i < len(ps); i++ {
-				for j := i + 1; j < len(ps); j++ {
-					if geom.GapSqPoly(ps[i], ps[j]) == 0 && g.AddStitch(base+i, base+j) {
+	if !opts.Build.DisableStitches {
+		for lo := 0; lo < nNew; {
+			hi := lo + 1
+			for hi < nNew && frags[hi].Feature == frags[lo].Feature {
+				hi++
+			}
+			for i := lo; i < hi; i++ {
+				for j := i + 1; j < hi; j++ {
+					if geom.GapSqPoly(frags[i].Shape, frags[j].Shape) == 0 && g.AddStitch(i, j) {
 						stats.StitchEdges++
 					}
 				}
 			}
+			lo = hi
 		}
-		base += len(ps)
 	}
 	for i := 0; i < nNew; i++ {
 		for _, j := range confOf[i] {
@@ -520,19 +534,6 @@ func rebuildGraph(l, newL *layout.Layout, prev *Result, plan *editPlan, opts Opt
 	}
 	dg := &Graph{G: g, Fragments: frags, Stats: stats, MinS: minS, HalfPitch: hp}
 	return &incrementalGraph{dg: dg, oldToNew: oldToNew, newToOld: newToOld}, nil
-}
-
-// piecesEqual reports whether two fragmentations are identical.
-func piecesEqual(a, b []geom.Polygon) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !slices.Equal(a[i].Rects, b[i].Rects) {
-			return false
-		}
-	}
-	return true
 }
 
 // editRun carries one ApplyEdits call through the stage pipeline: the

@@ -298,12 +298,7 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 		var busy time.Duration
 		for _, comp := range comps {
 			t0 := time.Now()
-			sub, orig := subgraphTimed(g, comp, &st)
-			subColors := decomposeComponent(ctx, sub, opts, solve, &st, sc)
-			for i, v := range orig {
-				colors[v] = subColors[i]
-			}
-			sc.PutInts(subColors)
+			decomposeComponent(ctx, g, comp, colors, opts, solve, &st, sc)
 			busy += time.Since(t0)
 		}
 		if len(comps) > 0 {
@@ -312,8 +307,10 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 		return colors, st
 	}
 
-	// Parallel mode: components are vertex-disjoint, so goroutines write
-	// non-overlapping slices of colors; per-worker stats merge at the end.
+	// Parallel mode: components are vertex-disjoint, so goroutines read and
+	// write non-overlapping entries of the shared graph's colors (every
+	// conflict and stitch neighbor of a vertex lies in its own component);
+	// per-worker stats merge at the end.
 	//
 	// Components enter the (pre-filled, closed) jobs channel in the LPT
 	// order computed above. Scheduling order is observably identical to
@@ -361,12 +358,7 @@ func DecomposeEnv(ctx context.Context, g *graph.Graph, opts Options, env Env, so
 			jobsRun := 0
 			for j := range jobs {
 				t0 := time.Now()
-				sub, orig := subgraphTimed(g, j.comp, ws)
-				subColors := decomposeComponent(ctx, sub, opts, solve, ws, sc)
-				for i, v := range orig {
-					colors[v] = subColors[i]
-				}
-				sc.PutInts(subColors)
+				decomposeComponent(ctx, g, j.comp, colors, opts, solve, ws, sc)
 				busy += time.Since(t0)
 				jobsRun++
 			}
@@ -409,24 +401,20 @@ func callSolver(ctx context.Context, g *graph.Graph, opts Options, solve Solver,
 	}
 }
 
-// decomposeComponent handles one connected component: peel, solve the core
-// (via biconnected + GH division), then pop the peel stack.
-func decomposeComponent(ctx context.Context, g *graph.Graph, opts Options, solve Solver, st *Stats, sc *pipeline.Scratch) []int {
-	n := g.N()
-	colors := sc.Ints(n)
-	for i := range colors {
-		colors[i] = coloring.Uncolored
-	}
-
-	var stack, core []int
-	if opts.DisablePeeling {
-		core = make([]int, n)
-		for i := range core {
-			core[i] = i
-		}
-	} else {
+// decomposeComponent handles one connected component of g, given as its
+// ascending vertex list, writing its colors straight into the run's colors
+// array: peel on g itself, solve the core (via biconnected + GH division),
+// then pop the peel stack. Only a non-empty core is extracted as an induced
+// subgraph. The outcome equals solving the component's own subgraph: a
+// FIFO peel over the ascending component visits vertices in the same
+// relative order as on the monotonically relabeled subgraph, and
+// g.Subgraph(core) is that subgraph's core subgraph.
+func decomposeComponent(ctx context.Context, g *graph.Graph, comp, colors []int, opts Options, solve Solver, st *Stats, sc *pipeline.Scratch) {
+	var stack []int
+	core := comp
+	if !opts.DisablePeeling {
 		tSimp := time.Now()
-		stack, core = g.PeelOrder(opts.K, opts.MaxStitchDegree, nil)
+		stack, core = g.PeelOrder(opts.K, opts.MaxStitchDegree, comp)
 		st.AddStage(pipeline.StageSimplify, time.Since(tSimp))
 		st.Peeled += len(stack)
 	}
@@ -460,7 +448,6 @@ func decomposeComponent(ctx context.Context, g *graph.Graph, opts Options, solve
 	if len(stack) > 0 {
 		st.AddStage(pipeline.StageStitch, time.Since(tStitch))
 	}
-	return colors
 }
 
 // solveCore applies the biconnected split to one connected core component.

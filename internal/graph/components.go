@@ -95,19 +95,19 @@ func (g *Graph) ComponentsWorkers(workers int) [][]int {
 
 	// Serial relabel in vertex order: component ids are assigned at each
 	// root's first appearance — i.e. at the component's smallest vertex —
-	// and members append in ascending order, matching the DFS layout.
+	// and members fill in ascending order, matching the DFS layout.
 	comp := make([]int32, g.n)
-	var out [][]int
+	var sizes []int
 	for v := 0; v < g.n; v++ {
 		r := find(int32(v))
 		if int(r) == v {
-			comp[v] = int32(len(out))
-			out = append(out, []int{v})
+			comp[v] = int32(len(sizes))
+			sizes = append(sizes, 1)
 			continue
 		}
 		id := comp[r]
 		comp[v] = id
-		out[id] = append(out[id], v)
+		sizes[id]++
 	}
-	return out
+	return groupComponents(comp, sizes)
 }

@@ -40,6 +40,7 @@ type Graph struct {
 	nStit   int
 	nFriend int
 	relabel sync.Pool // *[]int32 Subgraph index arrays, all-zero between uses
+	peel    sync.Pool // *[]peelCell PeelOrder counters, all-zero between uses
 }
 
 // New returns a graph with n isolated vertices.
@@ -204,41 +205,64 @@ func collectEdges(adj [][]int32, count int) []Edge {
 
 // Components returns the connected components of the graph under the union
 // of conflict and stitch edges (independent component computation of the
-// division pipeline). Each component is a sorted vertex list.
+// division pipeline). Components are ordered by smallest member and each is
+// a sorted vertex list; all of them are capacity-clipped views into one
+// shared member array.
 func (g *Graph) Components() [][]int {
-	comp := make([]int, g.n)
+	comp := make([]int32, g.n)
 	for i := range comp {
 		comp[i] = -1
 	}
-	var out [][]int
-	stack := make([]int, 0, 64)
+	var sizes []int
+	stack := make([]int32, 0, 64)
 	for s := 0; s < g.n; s++ {
 		if comp[s] != -1 {
 			continue
 		}
-		id := len(out)
+		id := int32(len(sizes))
 		comp[s] = id
-		stack = append(stack[:0], s)
-		var members []int
+		stack = append(stack[:0], int32(s))
+		size := 0
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			members = append(members, u)
+			size++
 			for _, v := range g.conf[u] {
 				if comp[v] == -1 {
 					comp[v] = id
-					stack = append(stack, int(v))
+					stack = append(stack, v)
 				}
 			}
 			for _, v := range g.stit[u] {
 				if comp[v] == -1 {
 					comp[v] = id
-					stack = append(stack, int(v))
+					stack = append(stack, v)
 				}
 			}
 		}
-		sort.Ints(members)
-		out = append(out, members)
+		sizes = append(sizes, size)
+	}
+	return groupComponents(comp, sizes)
+}
+
+// groupComponents lays the members of every component out in one array:
+// comp labels each vertex with its component id and sizes counts the
+// members per id. Offsets come from a prefix sum over sizes, and a sweep in
+// vertex order fills each component's range, so members come out ascending
+// without a sort.
+func groupComponents(comp []int32, sizes []int) [][]int {
+	if len(sizes) == 0 {
+		return nil
+	}
+	members := make([]int, len(comp))
+	out := make([][]int, len(sizes))
+	off := 0
+	for id, size := range sizes {
+		out[id] = members[off : off : off+size]
+		off += size
+	}
+	for v, id := range comp {
+		out[id] = append(out[id], v)
 	}
 	return out
 }
@@ -250,8 +274,8 @@ func (g *Graph) Components() [][]int {
 //
 // Relabeling goes through a pooled vertex→index array of length N whose
 // entries are zero between calls (only the touched entries are reset), so
-// concurrent extractions from one graph — the division workers' components
-// — each cost O(|subset| + its adjacency), not O(N).
+// concurrent extractions from one graph — the division workers' cores —
+// each cost O(|subset| + its adjacency), not O(N).
 func (g *Graph) Subgraph(vertices []int) (*Graph, []int) {
 	lease, _ := g.relabel.Get().(*[]int32)
 	if lease == nil || len(*lease) < g.n {
@@ -344,80 +368,127 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
+// peelCell is one vertex's PeelOrder counters: the conflict and stitch
+// degree left inside the working set, and its peel state.
+type peelCell struct {
+	deg, sdeg int32
+	state     uint8
+}
+
+// Peel states; the zero value means "outside the working set".
+const (
+	peelActive uint8 = iota + 1 // in the working set, not yet queued
+	peelQueued                  // queued for removal (every queued vertex is removed)
+)
+
 // PeelOrder computes the iterative low-degree vertex removal of Algorithm 2
-// (stage 1) and the division pipeline: repeatedly remove a vertex whose
-// remaining conflict degree is < k and stitch degree is < maxStitch,
-// pushing it onto a stack. It returns the removal stack (in removal order)
-// and the sorted list of remaining "core" vertices. The graph itself is not
-// modified; removal is simulated with degree counters.
+// (stage 1) and the division pipeline over an ascending vertex subset (nil
+// means every vertex): repeatedly remove a vertex whose conflict degree
+// inside the subset is < k and whose stitch degree is < maxStitch, pushing
+// it onto a stack. It returns the removal stack (in removal order) and the
+// sorted list of remaining "core" vertices, both in the graph's vertex ids.
+// The graph itself is not modified; removal is simulated with degree
+// counters.
+//
+// The counters live in a pooled per-graph array of length N whose entries
+// are zero between calls (only the subset's entries are touched and reset),
+// so concurrent peels of disjoint components — the division workers — each
+// cost O(|subset| + its adjacency). Removal is FIFO and every queued vertex
+// is removed exactly once, so the queue itself is the removal stack. Like
+// Subgraph, it panics on an unsorted, repeated or out-of-range vertex.
 //
 // When a removed vertex is later popped and colored, one of the k colors is
 // always conflict-free because fewer than k conflict neighbors remain — the
 // paper's safety argument.
-func (g *Graph) PeelOrder(k, maxStitch int, active []bool) (stack []int, core []int) {
-	deg := make([]int, g.n)
-	sdeg := make([]int, g.n)
-	removed := make([]bool, g.n)
-	isActive := func(v int) bool { return active == nil || active[v] }
-	queue := make([]int, 0, g.n)
-	for v := 0; v < g.n; v++ {
-		if !isActive(v) {
-			removed[v] = true // outside the working set; never peeled or core
-			continue
+func (g *Graph) PeelOrder(k, maxStitch int, subset []int) (stack []int, core []int) {
+	m := len(subset)
+	if subset == nil {
+		m = g.n
+	}
+	vertex := func(i int) int {
+		if subset == nil {
+			return i
 		}
+		return subset[i]
+	}
+	lease, _ := g.peel.Get().(*[]peelCell)
+	if lease == nil || len(*lease) < g.n {
+		b := make([]peelCell, g.n)
+		lease = &b
+	}
+	cell := *lease
+	prev := -1
+	for i := 0; i < m; i++ {
+		// A panicking call never returns its dirty lease to the pool.
+		v := vertex(i)
+		switch {
+		case v < 0 || v >= g.n:
+			panic(fmt.Sprintf("graph: peel vertex %d out of range", v))
+		case v == prev:
+			panic(fmt.Sprintf("graph: peel vertex %d repeated", v))
+		case v < prev:
+			panic(fmt.Sprintf("graph: peel vertices unsorted at %d", v))
+		}
+		prev = v
+		cell[v].state = peelActive
+	}
+
+	// buf holds the queue (= removal stack) from the front; the core fills
+	// the remainder once peeling is done.
+	buf := make([]int, 0, m)
+	for i := 0; i < m; i++ {
+		v := vertex(i)
+		c := &cell[v]
 		for _, w := range g.conf[v] {
-			if isActive(int(w)) {
-				deg[v]++
+			if cell[w].state != 0 {
+				c.deg++
 			}
 		}
 		for _, w := range g.stit[v] {
-			if isActive(int(w)) {
-				sdeg[v]++
+			if cell[w].state != 0 {
+				c.sdeg++
 			}
 		}
-		if deg[v] < k && sdeg[v] < maxStitch {
-			queue = append(queue, v)
+		if int(c.deg) < k && int(c.sdeg) < maxStitch {
+			c.state = peelQueued
+			buf = append(buf, v)
 		}
 	}
-	inQueue := make([]bool, g.n)
-	for _, v := range queue {
-		inQueue[v] = true
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if removed[v] {
-			continue
-		}
-		removed[v] = true
-		stack = append(stack, v)
+	for head := 0; head < len(buf); head++ {
+		v := buf[head]
 		for _, w := range g.conf[v] {
-			wi := int(w)
-			if removed[wi] {
-				continue
-			}
-			deg[wi]--
-			if deg[wi] < k && sdeg[wi] < maxStitch && !inQueue[wi] {
-				inQueue[wi] = true
-				queue = append(queue, wi)
+			if c := &cell[w]; c.state == peelActive {
+				c.deg--
+				if int(c.deg) < k && int(c.sdeg) < maxStitch {
+					c.state = peelQueued
+					buf = append(buf, int(w))
+				}
 			}
 		}
 		for _, w := range g.stit[v] {
-			wi := int(w)
-			if removed[wi] {
-				continue
-			}
-			sdeg[wi]--
-			if deg[wi] < k && sdeg[wi] < maxStitch && !inQueue[wi] {
-				inQueue[wi] = true
-				queue = append(queue, wi)
+			if c := &cell[w]; c.state == peelActive {
+				c.sdeg--
+				if int(c.deg) < k && int(c.sdeg) < maxStitch {
+					c.state = peelQueued
+					buf = append(buf, int(w))
+				}
 			}
 		}
 	}
-	for v := 0; v < g.n; v++ {
-		if isActive(v) && !removed[v] {
-			core = append(core, v)
+	nStack := len(buf)
+	for i := 0; i < m; i++ {
+		v := vertex(i)
+		if cell[v].state == peelActive {
+			buf = append(buf, v)
 		}
+		cell[v] = peelCell{}
+	}
+	g.peel.Put(lease)
+	if nStack > 0 {
+		stack = buf[:nStack:nStack]
+	}
+	if len(buf) > nStack {
+		core = buf[nStack:]
 	}
 	return stack, core
 }
@@ -446,28 +517,33 @@ func (g *Graph) BiconnectedComponents() (blocks [][]int, cuts []int) {
 	}
 	var edgeStack []Edge
 
-	neighbors := func(v int) []int32 {
-		// Combined conflict+stitch adjacency, materialized lazily per call.
-		if len(g.stit[v]) == 0 {
-			return g.conf[v]
+	// The DFS walks v's conflict row, then its stitch row, by one combined
+	// index, so no merged adjacency is materialized.
+	degree := func(v int) int { return len(g.conf[v]) + len(g.stit[v]) }
+	neighbor := func(v, i int) int {
+		if i < len(g.conf[v]) {
+			return int(g.conf[v][i])
 		}
-		out := make([]int32, 0, len(g.conf[v])+len(g.stit[v]))
-		out = append(out, g.conf[v]...)
-		out = append(out, g.stit[v]...)
-		return out
+		return int(g.stit[v][i-len(g.conf[v])])
 	}
 
+	// seen[v] == stamp marks v as already in the block being popped; the
+	// stamp advances per block, so the array is never cleared.
+	seen := make([]int32, g.n)
+	stamp := int32(0)
 	popBlock := func(until Edge) []int {
-		seen := map[int]bool{}
+		stamp++
 		var verts []int
 		for len(edgeStack) > 0 {
 			e := edgeStack[len(edgeStack)-1]
 			edgeStack = edgeStack[:len(edgeStack)-1]
-			for _, v := range []int{e.U, e.V} {
-				if !seen[v] {
-					seen[v] = true
-					verts = append(verts, v)
-				}
+			if seen[e.U] != stamp {
+				seen[e.U] = stamp
+				verts = append(verts, e.U)
+			}
+			if seen[e.V] != stamp {
+				seen[e.V] = stamp
+				verts = append(verts, e.V)
 			}
 			if e == until {
 				break
@@ -477,27 +553,26 @@ func (g *Graph) BiconnectedComponents() (blocks [][]int, cuts []int) {
 		return verts
 	}
 
+	var stack []frame
 	for s := 0; s < g.n; s++ {
 		if disc[s] != none {
 			continue
 		}
-		adj := neighbors(s)
-		if len(adj) == 0 {
+		if degree(s) == 0 {
 			disc[s] = timer
 			timer++
 			blocks = append(blocks, []int{s})
 			continue
 		}
-		stack := []frame{{v: s, parentEdge: none}}
+		stack = append(stack[:0], frame{v: s, parentEdge: none})
 		disc[s] = timer
 		low[s] = timer
 		timer++
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			v := f.v
-			vAdj := neighbors(v)
-			if f.childIdx < len(vAdj) {
-				w := int(vAdj[f.childIdx])
+			if f.childIdx < degree(v) {
+				w := neighbor(v, f.childIdx)
 				f.childIdx++
 				if w == f.parentEdge {
 					continue

@@ -222,7 +222,13 @@ func TestPeelOrderActiveMask(t *testing.T) {
 	g.AddConflict(1, 2)
 	g.AddConflict(2, 3)
 	active := []bool{true, true, false, false}
-	stack, core := g.PeelOrder(1, 2, active)
+	var subset []int
+	for v, in := range active {
+		if in {
+			subset = append(subset, v)
+		}
+	}
+	stack, core := g.PeelOrder(1, 2, subset)
 	for _, v := range append(append([]int{}, stack...), core...) {
 		if !active[v] {
 			t.Fatalf("inactive vertex %d appeared in result", v)
