@@ -11,6 +11,7 @@
 package mpl_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -236,7 +237,7 @@ func BenchmarkSDPRelaxation(b *testing.B) {
 	g := kingGraph(15, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sdp.Solve(g, sdp.Options{K: 4, Alpha: 0.1, Seed: int64(i)})
+		sdp.SolveScratchEnv(context.Background(), g, sdp.Options{K: 4, Alpha: 0.1, Seed: int64(i)}, nil, pipeline.Env{})
 	}
 }
 
@@ -244,7 +245,7 @@ func BenchmarkSDPRelaxation(b *testing.B) {
 // stage given a solved relaxation.
 func BenchmarkSDPBacktrackMapping(b *testing.B) {
 	g := kingGraph(15, 4)
-	sol := sdp.Solve(g, sdp.Options{K: 4, Alpha: 0.1, Seed: 1})
+	sol := sdp.SolveScratchEnv(context.Background(), g, sdp.Options{K: 4, Alpha: 0.1, Seed: 1}, nil, pipeline.Env{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		coloring.SDPBacktrack(g, sol, 4, 0.1, 0.9, 0)

@@ -85,7 +85,7 @@ type decomposeRequest struct {
 	Seed         int64   `json:"seed,omitempty"`
 	Workers      int     `json:"workers,omitempty"`       // per-request component workers
 	BuildWorkers int     `json:"build_workers,omitempty"` // graph-construction workers, capped by -build-workers
-	// Memoize enables canonical-shape memoization: repeated identical
+	// Memoize enables exact-encoding memoization: repeated identical
 	// components (standard cells) are answered from the server's
 	// process-wide shape cache instead of re-solved. Byte-identical
 	// results; ignored by engine "race".
@@ -110,7 +110,7 @@ type decomposeResponse struct {
 	// "build" (the graph may have come from the graph cache); incremental
 	// solves include their dirty-region build.
 	StageMs map[string]float64 `json:"stage_ms,omitempty"`
-	// Shapes reports this solve's canonical-shape cache traffic (memoized
+	// Shapes reports this solve's shape-cache traffic (memoized
 	// requests only; absent on cache hits and memo-off solves).
 	Shapes    *shapeJSON `json:"shapes,omitempty"`
 	Fragments int        `json:"fragments"`

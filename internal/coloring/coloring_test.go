@@ -1,14 +1,22 @@
 package coloring
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"mpl/internal/graph"
+	"mpl/internal/pipeline"
 	"mpl/internal/sdp"
 )
+
+// solveSDP runs the relaxation with fresh heap workspace and serial
+// restarts.
+func solveSDP(g *graph.Graph, opts sdp.Options) *sdp.Solution {
+	return sdp.SolveScratchEnv(context.Background(), g, opts, nil, pipeline.Env{})
+}
 
 // bruteForce finds the minimum-cost assignment by enumerating k^n colorings.
 func bruteForce(g *graph.Graph, k int, alpha float64) (best []int, bestCost float64) {
@@ -164,7 +172,7 @@ func TestSDPBacktrackNearOptimal(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 3 + rng.Intn(5)
 		g := randomGraph(rng, n, n+rng.Intn(n), rng.Intn(3))
-		sol := sdp.Solve(g, sdp.Options{K: 4, Alpha: 0.1, Seed: int64(trial)})
+		sol := solveSDP(g, sdp.Options{K: 4, Alpha: 0.1, Seed: int64(trial)})
 		colors, proven := SDPBacktrack(g, sol, 4, 0.1, 0.9, 0)
 		if !proven {
 			t.Fatalf("trial %d: merged backtrack not proven", trial)
@@ -186,7 +194,7 @@ func TestSDPGreedyValid(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 3 + rng.Intn(7)
 		g := randomGraph(rng, n, n+rng.Intn(n), rng.Intn(3))
-		sol := sdp.Solve(g, sdp.Options{K: 4, Alpha: 0.1, Seed: int64(trial)})
+		sol := solveSDP(g, sdp.Options{K: 4, Alpha: 0.1, Seed: int64(trial)})
 		colors := SDPGreedy(g, sol, 4, 0.1)
 		if err := Validate(g, colors, 4); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -203,7 +211,7 @@ func TestSDPGreedyTwoCliques(t *testing.T) {
 			g.AddConflict(4+i, 4+j)
 		}
 	}
-	sol := sdp.Solve(g, sdp.Options{K: 4, Alpha: 0.1, Seed: 2, Restarts: 4})
+	sol := solveSDP(g, sdp.Options{K: 4, Alpha: 0.1, Seed: 2, Restarts: 4})
 	colors := SDPGreedy(g, sol, 4, 0.1)
 	if c, _ := Count(g, colors); c != 0 {
 		t.Fatalf("greedy conflicts = %d, want 0", c)
@@ -406,7 +414,7 @@ func TestSDPGreedyPentuple(t *testing.T) {
 			g.AddConflict(i, j)
 		}
 	}
-	sol := sdp.Solve(g, sdp.Options{K: 5, Alpha: 0.1, Seed: 8})
+	sol := solveSDP(g, sdp.Options{K: 5, Alpha: 0.1, Seed: 8})
 	colors := SDPGreedy(g, sol, 5, 0.1)
 	if c, _ := Count(g, colors); c != 0 {
 		t.Fatalf("K5 with 5 colors: greedy conflicts = %d", c)

@@ -8,9 +8,9 @@ import (
 	"time"
 
 	"mpl/internal/balance"
-	"mpl/internal/canon"
 	"mpl/internal/coloring"
 	"mpl/internal/division"
+	"mpl/internal/flight"
 	"mpl/internal/geom"
 	"mpl/internal/graph"
 	"mpl/internal/layout"
@@ -124,12 +124,12 @@ type Options struct {
 	// SDPRestarts / SDPMaxIter tune the relaxation solver (0 = defaults).
 	SDPRestarts int
 	SDPMaxIter  int
-	// Memoize enables canonical-shape memoization of Dispatch solves
-	// (internal/canon, DESIGN.md §11): every solver piece is canonicalized
-	// and byte-identical repeats of an already-solved piece are answered
-	// from a process-wide shape cache instead of re-running an engine.
-	// Results are byte-identical to a memo-off run. Ignored (forced off)
-	// by EngineRace, whose winners are wall-clock dependent.
+	// Memoize enables exact-encoding memoization of Dispatch solves
+	// (DESIGN.md §11): every solver piece of at most 4096 vertices is
+	// serialized, and byte-identical repeats of an already-solved piece are
+	// answered from a process-wide shape cache instead of re-running an
+	// engine. Results are byte-identical to a memo-off run. Ignored
+	// (forced off) by EngineRace, whose winners are wall-clock dependent.
 	Memoize bool
 	// Build controls graph construction.
 	Build BuildOptions
@@ -292,7 +292,7 @@ func DecomposeContext(ctx context.Context, l *layout.Layout, opts Options) (*Res
 	if err := pipeline.New(rec, build).Run(ctx); err != nil {
 		return nil, err
 	}
-	return decomposeGraph(ctx, dg, opts, rec)
+	return decomposeGraph(ctx, dg, opts, rec, sharedScratch, sharedShapes)
 }
 
 // DecomposeGraph colors an already-built decomposition graph; callers that
@@ -308,7 +308,7 @@ func DecomposeGraphContext(ctx context.Context, dg *Graph, opts Options) (*Resul
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	return decomposeGraph(ctx, dg, opts, pipeline.NewRecorder())
+	return decomposeGraph(ctx, dg, opts, pipeline.NewRecorder(), sharedScratch, sharedShapes)
 }
 
 // graphRun carries one graph-coloring run through the stage pipeline. The
@@ -322,7 +322,7 @@ type graphRun struct {
 	dg     *Graph
 	opts   Options
 	pool   *pipeline.ScratchPool
-	shapes *canon.ShapeCache
+	shapes *flight.Cache[[]int]
 
 	colors     []int
 	stats      division.Stats
@@ -389,22 +389,11 @@ func (r *graphRun) merge(context.Context) error {
 
 // decomposeGraph is the shared stage composition of every from-scratch
 // solve: divide (composite) then merge, with rec carrying stages the
-// caller already ran. opts must be validated and defaulted.
-func decomposeGraph(ctx context.Context, dg *Graph, opts Options, rec *pipeline.Recorder) (*Result, error) {
-	return decomposeGraphPool(ctx, dg, opts, rec, sharedScratch)
-}
-
-// decomposeGraphPool is decomposeGraph with an explicit scratch pool, so
-// the allocation benchmarks can compare pooled against unpooled arenas
-// without mutating the shared pool under everyone else.
-func decomposeGraphPool(ctx context.Context, dg *Graph, opts Options, rec *pipeline.Recorder, pool *pipeline.ScratchPool) (*Result, error) {
-	return decomposeGraphShapes(ctx, dg, opts, rec, pool, sharedShapes)
-}
-
-// decomposeGraphShapes additionally takes the shape cache, so equivalence
-// and stress tests can run against a fresh cache whose hit/miss counters
-// don't depend on what earlier tests populated process-wide.
-func decomposeGraphShapes(ctx context.Context, dg *Graph, opts Options, rec *pipeline.Recorder, pool *pipeline.ScratchPool, shapes *canon.ShapeCache) (*Result, error) {
+// caller already ran. opts must be validated and defaulted. Production
+// callers pass sharedScratch and sharedShapes; the allocation benchmarks
+// swap the scratch pool, and equivalence tests a fresh shape cache whose
+// hit/miss counters don't depend on what earlier tests populated.
+func decomposeGraph(ctx context.Context, dg *Graph, opts Options, rec *pipeline.Recorder, pool *pipeline.ScratchPool, shapes *flight.Cache[[]int]) (*Result, error) {
 	run := &graphRun{dg: dg, opts: opts, pool: pool, shapes: shapes}
 	p := pipeline.New(rec,
 		pipeline.Composite(run.divide),

@@ -1,6 +1,6 @@
 package core
 
-// Byte-equivalence harness for canonical-shape memoization (ISSUE 7): a
+// Byte-equivalence harness for shape memoization (DESIGN.md §11): a
 // memoized solve must be indistinguishable from a memo-off solve in every
 // observable output — colors byte-for-byte, cn#/st#, Proven — on every
 // committed circuit, every engine, serial and parallel. Plus the
@@ -16,7 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"mpl/internal/canon"
+	"mpl/internal/flight"
 	"mpl/internal/graph"
 	"mpl/internal/layout"
 	"mpl/internal/pipeline"
@@ -29,8 +29,14 @@ func memoRun(t *testing.T, dg *Graph, opts Options) *Result {
 	if _, err := ParseEngine(opts.Engine); err != nil {
 		t.Fatal(err)
 	}
-	res, err := decomposeGraphShapes(context.Background(), dg, opts.withDefaults(),
-		pipeline.NewRecorder(), sharedScratch, canon.NewShapeCache(4096))
+	return memoRunShapes(t, dg, opts, flight.New[[]int](memoEntries))
+}
+
+// memoRunShapes solves dg with opts against the given shape cache.
+func memoRunShapes(t *testing.T, dg *Graph, opts Options, shapes *flight.Cache[[]int]) *Result {
+	t.Helper()
+	res, err := decomposeGraph(context.Background(), dg, opts.withDefaults(),
+		pipeline.NewRecorder(), sharedScratch, shapes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +97,7 @@ func TestMemoizedByteIdenticalToMemoOff(t *testing.T) {
 					}
 					// Counter accounting: every solver piece was either a
 					// hit or a miss (committed circuits have no pieces over
-					// canon.MaxVertices), hits match the memo bucket, and
+					// memoMaxVertices), hits match the memo bucket, and
 					// the memo-off run reports no shape traffic at all.
 					if base.DivisionStats.Shapes.Hits+base.DivisionStats.Shapes.Misses != 0 {
 						t.Fatalf("memo-off run reports shape traffic: %+v", base.DivisionStats.Shapes)
@@ -196,6 +202,50 @@ func TestMemoSingleFlightOneDispatchForIdenticalComponents(t *testing.T) {
 	base := memoRun(t, dg, offOpts)
 	if !bytes.Equal(intsToBytes(base.Colors), intsToBytes(res.Colors)) {
 		t.Fatalf("single-flight rehydration changed the coloring")
+	}
+}
+
+// relabeledCopies builds n disjoint copies of one 7-vertex piece, copy c
+// labeling the piece's vertex r as 7c + (a·r + b) mod 7 for the c-th
+// affine map (a, b) — so every copy reaches the solver with its own vertex
+// numbering. Every vertex has conflict degree ≥ 4 and no cut is smaller
+// than 4, so at K=4 each copy survives division as one solver piece.
+func relabeledCopies(n int) *Graph {
+	piece := [][2]int{
+		{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}, // K5
+		{5, 0}, {5, 1}, {5, 2}, {5, 3},
+		{6, 1}, {6, 2}, {6, 3}, {6, 5},
+	}
+	g := graph.New(7 * n)
+	for c := 0; c < n; c++ {
+		a, b := 1+c%3, c/3
+		for _, e := range piece {
+			g.AddConflict(7*c+(a*e[0]+b)%7, 7*c+(a*e[1]+b)%7)
+		}
+	}
+	return &Graph{G: g}
+}
+
+// TestMemoDifferentLabelingsAllHitOnRepeat: ten differently-labeled copies
+// of one piece are ten distinct keys, each stored on the first pass, so a
+// second solve through the same cache is all hits.
+func TestMemoDifferentLabelingsAllHitOnRepeat(t *testing.T) {
+	const n = 10
+	dg := relabeledCopies(n)
+	opts := Options{K: 4, Algorithm: AlgSDPBacktrack, Seed: 1, Memoize: true}
+	shapes := flight.New[[]int](memoEntries)
+	first := memoRunShapes(t, dg, opts, shapes).DivisionStats.Shapes
+	if first.Misses != n || first.Hits != 0 || first.Distinct != n {
+		t.Fatalf("first pass: want %d misses / 0 hits / %d distinct labelings, got %+v", n, n, first)
+	}
+	second := memoRunShapes(t, dg, opts, shapes)
+	if sh := second.DivisionStats.Shapes; sh.Hits != n || sh.Misses != 0 {
+		t.Fatalf("second pass: want %d hits / 0 misses, got %+v", n, sh)
+	}
+	opts.Memoize = false
+	base := memoRun(t, dg, opts)
+	if !bytes.Equal(intsToBytes(base.Colors), intsToBytes(second.Colors)) {
+		t.Fatalf("memoized colors differ from memo-off")
 	}
 }
 

@@ -14,8 +14,11 @@ package core
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 
+	"mpl/internal/flight"
+	"mpl/internal/layout"
 	"mpl/internal/pipeline"
 	"mpl/internal/synth"
 )
@@ -38,7 +41,7 @@ func benchRepeatedSolve(b *testing.B, pool *pipeline.ScratchPool) {
 	g := benchSolveGraph(b)
 	opts := (Options{K: 4, Algorithm: AlgSDPBacktrack, Seed: 1}).withDefaults()
 	solve := func() (*Result, error) {
-		return decomposeGraphPool(context.Background(), g, opts, pipeline.NewRecorder(), pool)
+		return decomposeGraph(context.Background(), g, opts, pipeline.NewRecorder(), pool, sharedShapes)
 	}
 	// One warm-up solve so the pooled variant measures steady state (the
 	// first request grows the arenas; every later one reuses them).
@@ -76,6 +79,29 @@ func BenchmarkRepeatedBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := BuildGraph(l, BuildOptions{K: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMemoizedSolve publishes the per-call cost of the memo path on
+// the repeat-heavy REPCELL circuit under SDP+Backtrack: every iteration
+// starts from an empty shape cache, so each call pays one engine solve per
+// distinct piece plus the encode-and-lookup of every piece.
+func BenchmarkMemoizedSolve(b *testing.B) {
+	l, err := layout.ReadFile(filepath.Join("..", "..", "benchmarks", "REPCELL.lay"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := BuildGraph(l, BuildOptions{K: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := (Options{K: 4, Algorithm: AlgSDPBacktrack, Seed: 1, Memoize: true}).withDefaults()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := decomposeGraph(context.Background(), g, opts, pipeline.NewRecorder(), sharedScratch, flight.New[[]int](memoEntries)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -129,8 +129,8 @@ type Stats struct {
 	// around it. Lazily allocated, merged across workers like Engines.
 	Stages map[string]pipeline.StageStats
 
-	// Shapes reports the canonical-shape memoization counters of the run
-	// (internal/canon, Options.Memoize). Like Engines, the counters are
+	// Shapes reports the shape memoization counters of the run
+	// (core's Options.Memoize). Like Engines, the counters are
 	// produced by the dispatcher in internal/core — this package never
 	// touches them — and arrive after the division finishes; worker-level
 	// Stats always carry zeros here.
@@ -182,10 +182,10 @@ func (b *Balance) Merge(o Balance) {
 	}
 }
 
-// ShapeStats counts canonical-shape cache traffic for one run: Hits is
-// solver pieces answered from the cache, Misses is pieces that went to an
-// engine (cache miss or memoization bypass), Distinct is the number of
-// distinct shape identities the run touched.
+// ShapeStats counts shape-cache traffic for one run: Hits is solver pieces
+// answered from the cache, Misses is pieces that went to an engine (cache
+// miss or memoization bypass), Distinct is the number of distinct piece
+// encodings the run touched (never more than Hits + Misses).
 type ShapeStats struct {
 	Hits     int
 	Misses   int

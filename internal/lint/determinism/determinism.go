@@ -35,7 +35,7 @@ var solverPaths = []string{
 	"internal/core", "internal/division", "internal/portfolio",
 	"internal/sdp", "internal/ilp", "internal/pipeline",
 	"internal/ghtree", "internal/maxflow", "internal/coloring",
-	"internal/graph", "internal/canon",
+	"internal/graph", "internal/flight",
 }
 
 // Analyzer is the determinism checker.

@@ -1,17 +1,17 @@
-// Package canon is a determinism fixture for the shape-cache pattern: its
-// import path ends in internal/canon, so the solver-path rules apply. The
-// real cache (internal/canon.ShapeCache) holds maps keyed by canonical
-// encodings; the contract is that those maps are only read through keyed
-// lookups — ranging over one and letting the order escape would make cache
-// behavior (eviction, reporting) depend on Go's randomized map order.
-package canon
+// Package flight is a determinism fixture for the keyed-cache pattern: its
+// import path ends in internal/flight, so the solver-path rules apply. The
+// real cache (internal/flight.Cache) holds maps keyed by exact encodings;
+// the contract is that those maps are only read through keyed lookups —
+// ranging over one and letting the order escape would make cache behavior
+// (eviction, reporting) depend on Go's randomized map order.
+package flight
 
 import (
 	"fmt"
 	"sort"
 )
 
-// cache mirrors the shape-cache shape: entries keyed by encoded form.
+// cache mirrors the cache shape: entries keyed by encoded form.
 type cache struct {
 	reps map[string][]int
 }

@@ -92,7 +92,7 @@ func TestParallelRestartsByteIdentical(t *testing.T) {
 		for ci, g := range circuitComponents(t, name, 2) {
 			for _, k := range []int{3, 4} {
 				opts := sdp.Options{K: k, Alpha: 0.1, Seed: 7, Restarts: 4}
-				ref := sdp.Solve(g, opts)
+				ref := sdp.SolveScratchEnv(context.Background(), g, opts, nil, pipeline.Env{})
 				for _, workers := range []int{1, 2, 8} {
 					t.Run(fmt.Sprintf("%s/comp%d/K%d/w%d", name, ci, k, workers), func(t *testing.T) {
 						sc := pool.Get()

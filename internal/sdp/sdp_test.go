@@ -42,14 +42,14 @@ func TestIdealVectorsPanics(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	sol := Solve(graph.New(0), Options{K: 4, Alpha: 0.1})
+	sol := solve(graph.New(0), Options{K: 4, Alpha: 0.1})
 	if len(sol.Vectors) != 0 || sol.Obj != 0 {
 		t.Fatalf("empty solve = %+v", sol)
 	}
 }
 
 func TestSingleVertex(t *testing.T) {
-	sol := Solve(graph.New(1), Options{K: 4, Alpha: 0.1, Seed: 1})
+	sol := solve(graph.New(1), Options{K: 4, Alpha: 0.1, Seed: 1})
 	if len(sol.Vectors) != 1 {
 		t.Fatalf("vectors = %d", len(sol.Vectors))
 	}
@@ -64,7 +64,7 @@ func TestKInvalidPanics(t *testing.T) {
 			t.Fatal("K=1 did not panic")
 		}
 	}()
-	Solve(graph.New(2), Options{K: 1})
+	solve(graph.New(2), Options{K: 1})
 }
 
 // TestConflictPairSeparates: two vertices joined by a conflict edge should
@@ -73,7 +73,7 @@ func TestConflictPairSeparates(t *testing.T) {
 	for _, k := range []int{4, 5} {
 		g := graph.New(2)
 		g.AddConflict(0, 1)
-		sol := Solve(g, Options{K: k, Alpha: 0.1, Seed: 7})
+		sol := solve(g, Options{K: k, Alpha: 0.1, Seed: 7})
 		want := -1.0 / float64(k-1)
 		if got := sol.Pair(0, 1); got > want+0.05 {
 			t.Fatalf("K=%d: x01 = %v, want ≈ %v", k, got, want)
@@ -88,7 +88,7 @@ func TestConflictPairSeparates(t *testing.T) {
 func TestStitchPairAligns(t *testing.T) {
 	g := graph.New(2)
 	g.AddStitch(0, 1)
-	sol := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 3})
+	sol := solve(g, Options{K: 4, Alpha: 0.1, Seed: 3})
 	if got := sol.Pair(0, 1); got < 0.99 {
 		t.Fatalf("x01 = %v, want ≈ 1", got)
 	}
@@ -106,7 +106,7 @@ func TestK5RelaxationValue(t *testing.T) {
 			g.AddConflict(i, j)
 		}
 	}
-	sol := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 11, Restarts: 4})
+	sol := solve(g, Options{K: 4, Alpha: 0.1, Seed: 11, Restarts: 4})
 	if sol.MaxViolation > 0.05 {
 		t.Fatalf("violation = %v", sol.MaxViolation)
 	}
@@ -131,7 +131,7 @@ func TestK4CliqueSplitsCleanly(t *testing.T) {
 			g.AddConflict(i, j)
 		}
 	}
-	sol := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 5})
+	sol := solve(g, Options{K: 4, Alpha: 0.1, Seed: 5})
 	if math.Abs(sol.Obj-(-2)) > 0.1 {
 		t.Fatalf("objective = %v, want ≈ -2", sol.Obj)
 	}
@@ -158,7 +158,7 @@ func TestMergeSignalQuality(t *testing.T) {
 		}
 	}
 	g.AddStitch(3, 4)
-	sol := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 13, Restarts: 4})
+	sol := solve(g, Options{K: 4, Alpha: 0.1, Seed: 13, Restarts: 4})
 	if got := sol.Pair(3, 4); got < 0.8 {
 		t.Fatalf("stitch pair x = %v, want high", got)
 	}
@@ -212,8 +212,8 @@ func TestDeterminism(t *testing.T) {
 	g.AddConflict(2, 0)
 	g.AddStitch(3, 4)
 	g.AddConflict(4, 5)
-	a := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 21})
-	b := Solve(g, Options{K: 4, Alpha: 0.1, Seed: 21})
+	a := solve(g, Options{K: 4, Alpha: 0.1, Seed: 21})
+	b := solve(g, Options{K: 4, Alpha: 0.1, Seed: 21})
 	for i := range a.Vectors {
 		for j := range a.Vectors[i] {
 			if a.Vectors[i][j] != b.Vectors[i][j] {
@@ -231,7 +231,7 @@ func TestSextupleRelaxation(t *testing.T) {
 			g.AddConflict(i, j)
 		}
 	}
-	sol := Solve(g, Options{K: 6, Alpha: 0.1, Seed: 5, Restarts: 4})
+	sol := solve(g, Options{K: 6, Alpha: 0.1, Seed: 5, Restarts: 4})
 	if sol.MaxViolation > 0.05 {
 		t.Fatalf("violation = %v", sol.MaxViolation)
 	}
@@ -244,12 +244,12 @@ func TestExplicitRankOption(t *testing.T) {
 	g := graph.New(3)
 	g.AddConflict(0, 1)
 	g.AddConflict(1, 2)
-	sol := Solve(g, Options{K: 4, Alpha: 0.1, Rank: 5, Seed: 2})
+	sol := solve(g, Options{K: 4, Alpha: 0.1, Rank: 5, Seed: 2})
 	// Rank caps at n.
 	if len(sol.Vectors[0]) != 3 {
 		t.Fatalf("rank = %d, want capped at n=3", len(sol.Vectors[0]))
 	}
-	sol = Solve(g, Options{K: 4, Alpha: 0.1, Rank: 2, Seed: 2})
+	sol = solve(g, Options{K: 4, Alpha: 0.1, Rank: 2, Seed: 2})
 	if len(sol.Vectors[0]) != 2 {
 		t.Fatalf("rank = %d, want 2", len(sol.Vectors[0]))
 	}
@@ -265,12 +265,18 @@ func TestRestartsImproveOrMatch(t *testing.T) {
 			}
 		}
 	}
-	one := Solve(g, Options{K: 4, Alpha: 0.1, Restarts: 1, Seed: 9})
-	many := Solve(g, Options{K: 4, Alpha: 0.1, Restarts: 6, Seed: 9})
+	one := solve(g, Options{K: 4, Alpha: 0.1, Restarts: 1, Seed: 9})
+	many := solve(g, Options{K: 4, Alpha: 0.1, Restarts: 6, Seed: 9})
 	// Compare the penalized score proxy: objective + violation weight.
 	if many.Obj > one.Obj+50*one.MaxViolation*one.MaxViolation+0.05 {
 		t.Fatalf("restarts made things worse: %v vs %v", many.Obj, one.Obj)
 	}
+}
+
+// solve runs the relaxation with a nil scratch (fresh heap workspace) and
+// the zero environment (serial restarts).
+func solve(g *graph.Graph, opts Options) *Solution {
+	return SolveScratchEnv(context.Background(), g, opts, nil, pipeline.Env{})
 }
 
 func TestSolveScratchMatchesSolveContext(t *testing.T) {
@@ -284,10 +290,10 @@ func TestSolveScratchMatchesSolveContext(t *testing.T) {
 	}
 	g.AddStitch(1, 3)
 	opts := Options{K: 4, Alpha: 0.1, Seed: 7}
-	ref := Solve(g, opts)
+	ref := solve(g, opts)
 	sc := pipeline.NewScratchPool().Get()
 	for round := 0; round < 3; round++ {
-		got := SolveScratch(context.Background(), g, opts, sc)
+		got := SolveScratchEnv(context.Background(), g, opts, sc, pipeline.Env{})
 		if got.Obj != ref.Obj || got.MaxViolation != ref.MaxViolation {
 			t.Fatalf("round %d: obj/viol %v/%v != reference %v/%v", round, got.Obj, got.MaxViolation, ref.Obj, ref.MaxViolation)
 		}

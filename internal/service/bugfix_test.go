@@ -1,8 +1,8 @@
 package service
 
 // Regression tests for the service-layer bugfix sweep: the bounded
-// fallback-lane wait and the hit/miss re-tally rules of the two
-// single-flight loops and the graph cache.
+// fallback-lane wait and the hit/miss tally rules of the result cache's
+// single flight (both entry points) and the graph cache.
 
 import (
 	"context"
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mpl/internal/core"
+	"mpl/internal/flight"
 )
 
 // TestFallbackLaneSaturationBounded: with both the full-quality semaphore
@@ -54,11 +55,10 @@ func TestWaiterDegradedRetalliedAsMiss(t *testing.T) {
 	s := New(Config{})
 	l := denseRow("skew", 5)
 	opts := core.Options{K: 4, Algorithm: core.AlgLinear}
-	// A never-completing in-flight entry stands in for a slow owner.
-	e := &entry{ready: make(chan struct{})}
-	s.mu.Lock()
-	s.results.put(resultKey(LayoutHash(l), opts), e, nil)
-	s.mu.Unlock()
+	// A never-finishing flight stands in for a slow owner.
+	if _, st := s.results.Acquire(context.Background(), resultKey(LayoutHash(l), opts)); st != flight.Owner {
+		t.Fatalf("seeding the flight: state %v, want Owner", st)
+	}
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -71,8 +71,8 @@ func TestWaiterDegradedRetalliedAsMiss(t *testing.T) {
 	}
 }
 
-// TestIncrementalWaiterDegradedRetalliedAsMiss: the twin loop in
-// DecomposeIncremental follows the same re-tally rule.
+// TestIncrementalWaiterDegradedRetalliedAsMiss: DecomposeIncremental
+// follows the same tally rule.
 func TestIncrementalWaiterDegradedRetalliedAsMiss(t *testing.T) {
 	s := New(Config{})
 	ctx := context.Background()
@@ -86,10 +86,9 @@ func TestIncrementalWaiterDegradedRetalliedAsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &entry{ready: make(chan struct{})}
-	s.mu.Lock()
-	s.results.put(resultKey(LayoutHash(newL), opts), e, nil)
-	s.mu.Unlock()
+	if _, st := s.results.Acquire(ctx, resultKey(LayoutHash(newL), opts)); st != flight.Owner {
+		t.Fatalf("seeding the flight: state %v, want Owner", st)
+	}
 	before := s.StatsSnapshot()
 
 	dead, cancel := context.WithCancel(ctx)
@@ -104,41 +103,36 @@ func TestIncrementalWaiterDegradedRetalliedAsMiss(t *testing.T) {
 }
 
 // TestGraphHitRetalliedOnFailedBuild: a caller that waits on an in-flight
-// graph build which then fails ends up building the graph itself — the
-// optimistic GraphHits tally must be taken back.
+// graph build which then fails ends up building the graph itself — which
+// is no graph hit.
 func TestGraphHitRetalliedOnFailedBuild(t *testing.T) {
 	s := New(Config{})
 	l := denseRow("gskew", 5)
 	opts := core.Options{K: 4, Algorithm: core.AlgLinear}
-	ge := &graphEntry{ready: make(chan struct{})}
 	gk := graphKey(LayoutHash(l), opts.Normalize().Build)
-	s.mu.Lock()
-	s.graphs.put(gk, ge, nil)
-	s.mu.Unlock()
+	if _, st := s.graphs.Acquire(context.Background(), gk); st != flight.Owner {
+		t.Fatalf("seeding the flight: state %v, want Owner", st)
+	}
 
 	done := make(chan error, 1)
 	go func() {
 		_, _, err := s.Decompose(context.Background(), l, opts)
 		done <- err
 	}()
-	// Wait until the caller is parked on the seeded entry (it tallied its
-	// optimistic graph hit), then fail the build the way the owner path
-	// does: remove the entry, set the error, release the waiters.
+	// Wait until the caller holds its solve slot (graphFor is the next
+	// step, and the seeded flight parks it there), then fail the build the
+	// way the owner path does: finish the flight without storing. The
+	// extra sleep only makes it likely the caller is parked by then; if it
+	// is not, it owns the build outright, which is no graph hit either.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if s.StatsSnapshot().GraphHits == 1 {
-			break
-		}
+	for len(s.sem) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("caller never reached the graph wait")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	s.mu.Lock()
-	s.graphs.removeIf(gk, ge)
-	s.mu.Unlock()
-	ge.err = errors.New("synthetic build failure")
-	close(ge.ready)
+	time.Sleep(10 * time.Millisecond)
+	s.graphs.Finish(gk, nil, false)
 
 	if err := <-done; err != nil {
 		t.Fatalf("retry after failed in-flight build: %v", err)

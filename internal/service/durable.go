@@ -84,16 +84,12 @@ func (s *Service) persistEdits(base, succ *session, edits []core.Edit) {
 // already replays (rooted by persistEdits, or spilled before and
 // rehydrated since) are skipped. Called without s.mu — spilling writes to
 // disk.
-func (s *Service) spillEvicted(evicted []lruItem) {
+func (s *Service) spillEvicted(evicted []*session) {
 	st := s.cfg.Store
-	if st == nil || len(evicted) == 0 {
+	if st == nil {
 		return
 	}
-	for _, it := range evicted {
-		sess, ok := it.val.(*session)
-		if !ok {
-			continue
-		}
+	for _, sess := range evicted {
 		if st.Has(sess.sig, sess.hash) {
 			continue
 		}
@@ -203,10 +199,8 @@ func (s *Service) rehydrate(ctx context.Context, hash, sig string, opts core.Opt
 		}
 		sess = &session{hash: h, sig: sig, layout: resL, res: res}
 	}
-	var evicted []lruItem
+	evicted := s.sessions.Put(hash+sig, sess)
 	s.mu.Lock()
-	evicted = s.sessions.put(hash+sig, sess, nil)
-	s.stats.Sessions = s.sessions.len()
 	s.stats.Rehydrations++
 	s.mu.Unlock()
 	s.spillEvicted(evicted)

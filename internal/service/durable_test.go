@@ -273,3 +273,19 @@ func TestDurableDisabledIsVolatile(t *testing.T) {
 		t.Fatalf("volatile service reports durable activity: %+v", stats)
 	}
 }
+
+// TestOptionsSigGolden pins the durable session signature byte for byte:
+// the store keys every persisted session by it, so a data directory
+// written by an earlier build rehydrates only while these bytes hold.
+func TestOptionsSigGolden(t *testing.T) {
+	got := OptionsSig(core.Options{K: 4, Engine: core.EngineAuto, Memoize: true, Seed: 7})
+	const want = "|k=4|alg=0|engine=auto|pf.ilpn=16|pf.ilpm=48|pf.btn=3000|pf.grn=20000|race=0" +
+		"|alpha=0.1|tth=0.9|seed=7|ilpbudget=60000000000|btnodes=0|sdprestarts=0|sdpmaxiter=0|memo=true" +
+		"|b.mins=0|b.k=4|b.nostitch=false|b.minseg=0|b.maxstitch=0" +
+		"|d.k=4|d.alpha=0.1|d.nopeel=false|d.nobicon=false|d.noght=false|d.ghmaxn=0|d.maxstitchdeg=0" +
+		"|d.lin.k=4|d.lin.alpha=0.1|d.lin.nofriend=false|d.lin.fw=0|d.lin.maxstitchdeg=0|d.lin.order=0" +
+		"|lin.k=4|lin.alpha=0.1|lin.nofriend=false|lin.fw=0|lin.maxstitchdeg=0|lin.order=0"
+	if got != want {
+		t.Fatalf("OptionsSig drifted:\n got %s\nwant %s", got, want)
+	}
+}

@@ -4,10 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"strconv"
-	"strings"
 
-	"mpl/internal/coloring"
 	"mpl/internal/core"
 	"mpl/internal/layout"
 )
@@ -38,96 +35,14 @@ func LayoutHash(l *layout.Layout) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// keyEnc builds the canonical option encoding of a cache key: an explicit
-// field=value list, one entry per solve-affecting field. Every field is
-// written through a value-typed formatter (ints, floats, bools), never
-// through reflection or %#v — a %#v of a struct that later gains a pointer,
-// func, or map field silently turns keys address-dependent (wrong hits
-// across restarts, permanent misses within one process). The price of being
-// explicit is that new Options fields must be added here consciously;
-// TestOptionsKeyCoversEveryField fails until they are either encoded or
-// recorded as deliberately key-neutral.
-type keyEnc struct{ b strings.Builder }
-
-func (e *keyEnc) int(name string, v int)     { e.str(name, strconv.Itoa(v)) }
-func (e *keyEnc) int64(name string, v int64) { e.str(name, strconv.FormatInt(v, 10)) }
-func (e *keyEnc) bool(name string, v bool)   { e.str(name, strconv.FormatBool(v)) }
-func (e *keyEnc) float(name string, v float64) {
-	e.str(name, strconv.FormatFloat(v, 'g', -1, 64))
-}
-func (e *keyEnc) str(name, v string) {
-	e.b.WriteByte('|')
-	e.b.WriteString(name)
-	e.b.WriteByte('=')
-	e.b.WriteString(v)
-}
-
-// encodeBuild writes every key-participating BuildOptions field. Workers is
-// deliberately omitted: the parallel build produces an identical graph at
-// any worker count.
-func (e *keyEnc) encodeBuild(b core.BuildOptions) {
-	e.int("b.mins", b.MinS)
-	e.int("b.k", b.K)
-	e.bool("b.nostitch", b.DisableStitches)
-	e.int("b.minseg", b.StitchMinSeg)
-	e.int("b.maxstitch", b.MaxStitchesPerFeature)
-}
-
-// encodeOptions writes every key-participating core.Options field. The
-// caller normalizes first, so defaulted spellings encode identically; the
-// Division and Build worker counts are key-neutral (deterministic results
-// at any worker count) and are omitted.
-func (e *keyEnc) encodeOptions(o core.Options) {
-	e.int("k", o.K)
-	e.int("alg", int(o.Algorithm))
-	e.str("engine", o.Engine)
-	e.int("pf.ilpn", o.Portfolio.ILPMaxN)
-	e.int("pf.ilpm", o.Portfolio.ILPMaxM)
-	e.int("pf.btn", o.Portfolio.BacktrackMaxN)
-	e.int("pf.grn", o.Portfolio.GreedyMaxN)
-	e.int64("race", int64(o.RaceBudget))
-	e.float("alpha", o.Alpha)
-	e.float("tth", o.Threshold)
-	e.int64("seed", o.Seed)
-	e.int64("ilpbudget", int64(o.ILPTimeLimit))
-	e.int64("btnodes", o.BacktrackNodeLimit)
-	e.int("sdprestarts", o.SDPRestarts)
-	e.int("sdpmaxiter", o.SDPMaxIter)
-	e.bool("memo", o.Memoize)
-	e.encodeBuild(o.Build)
-	e.int("d.k", o.Division.K)
-	e.float("d.alpha", o.Division.Alpha)
-	e.bool("d.nopeel", o.Division.DisablePeeling)
-	e.bool("d.nobicon", o.Division.DisableBiconnected)
-	e.bool("d.noght", o.Division.DisableGHTree)
-	e.int("d.ghmaxn", o.Division.GHTreeMaxN)
-	e.int("d.maxstitchdeg", o.Division.MaxStitchDegree)
-	e.encodeLinear("d.lin.", o.Division.Linear)
-	e.encodeLinear("lin.", o.Linear)
-}
-
-func (e *keyEnc) encodeLinear(prefix string, lo coloring.LinearOptions) {
-	e.int(prefix+"k", lo.K)
-	e.float(prefix+"alpha", lo.Alpha)
-	e.bool(prefix+"nofriend", lo.DisableColorFriendly)
-	e.float(prefix+"fw", lo.FriendWeight)
-	e.int(prefix+"maxstitchdeg", lo.MaxStitchDegree)
-	e.int(prefix+"order", int(lo.Order))
-}
-
-// optionsSig is the canonical encoding of every solve-affecting option —
-// the options half of a resultKey, and the signature the durable session
-// store (internal/store) keys sessions under. Two requests with the same
+// optionsSig is core.OptionsSig, the canonical encoding of every
+// solve-affecting option — the options half of a resultKey, and the
+// signature the durable session store (internal/store) keys sessions under. Two requests with the same
 // signature are solve-equivalent: core.ApplyEdits accepts a persisted
 // result recorded under one as the base for the other, because the only
 // fields the signature omits are the result-neutral worker counts, which
 // ApplyEdits also ignores.
-func optionsSig(opts core.Options) string {
-	opts = opts.Normalize()
-	var e keyEnc
-	e.encodeOptions(opts)
-	return e.b.String()
-}
+func optionsSig(opts core.Options) string { return core.OptionsSig(opts) }
 
 // OptionsSig exposes the durable session signature to other writers of the
 // session store (cmd/evaluate's durable replay): records they file under
@@ -148,7 +63,5 @@ func resultKey(layoutHash string, opts core.Options) string {
 // graph-construction options only, so algorithm sweeps over one layout
 // (cmd/evaluate's tables) build each graph once.
 func graphKey(layoutHash string, build core.BuildOptions) string {
-	var e keyEnc
-	e.encodeBuild(build)
-	return layoutHash + "|g" + e.b.String()
+	return layoutHash + "|g" + core.BuildSig(build)
 }

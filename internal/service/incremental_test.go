@@ -13,6 +13,7 @@ import (
 
 	"mpl/internal/coloring"
 	"mpl/internal/core"
+	"mpl/internal/flight"
 	"mpl/internal/geom"
 	"mpl/internal/synth"
 )
@@ -259,9 +260,7 @@ func TestSessionRecoveryAfterEviction(t *testing.T) {
 	}
 	// Simulate the session store evicting this entry while the result
 	// cache kept it (the two LRUs age independently).
-	s.mu.Lock()
-	s.sessions = newLRU(s.cfg.CacheSize)
-	s.mu.Unlock()
+	s.sessions = flight.New[*session](s.cfg.CacheSize)
 	edits := []core.Edit{{Op: core.EditRemove, Feature: 0}}
 	if _, _, _, _, err := s.DecomposeIncremental(ctx, LayoutHash(l), edits, opts); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("evicted session: err = %v, want ErrNoSession", err)

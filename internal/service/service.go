@@ -18,7 +18,6 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -28,6 +27,7 @@ import (
 
 	"mpl/internal/core"
 	"mpl/internal/division"
+	"mpl/internal/flight"
 	"mpl/internal/geom"
 	"mpl/internal/layout"
 	"mpl/internal/pipeline"
@@ -103,10 +103,10 @@ type Stats struct {
 	// builds this service actually ran (cache-hit graphs add nothing —
 	// the build they reuse was recorded when it happened).
 	Stages map[string]pipeline.StageStats
-	// Shapes accumulates the canonical-shape memoization counters of
-	// every memoized solve this service executed (core Options.Memoize).
-	// Distinct sums per-run distinct-shape counts, so a shape two solves
-	// both touch is counted by each.
+	// Shapes accumulates the shape memoization counters of every
+	// memoized solve this service executed (core Options.Memoize).
+	// Distinct sums per-run distinct piece-encoding counts, so a piece two
+	// solves both touch is counted by each.
 	Shapes division.ShapeStats
 	// Balance accumulates the dispatch-imbalance gauge across every solve
 	// this service executed: worker contributions sum, busy-time extremes
@@ -123,11 +123,12 @@ type Service struct {
 	sem   chan struct{} // full-quality solves
 	fbSem chan struct{} // fallback solves for requests whose deadline expired while queued
 
-	mu       sync.Mutex
-	results  *lru  // guarded by mu; key -> *entry (may be in-flight)
-	graphs   *lru  // guarded by mu; key -> *graphEntry (may be in-flight)
-	sessions *lru  // guarded by mu; key -> *session (always complete; immutable once stored)
-	stats    Stats // guarded by mu
+	results  *flight.Cache[*core.Result] // resultKey -> healthy result
+	graphs   *flight.Cache[*core.Graph]  // graphKey -> decomposition graph
+	sessions *flight.Cache[*session]     // resultKey -> session (immutable once stored)
+
+	mu    sync.Mutex
+	stats Stats // guarded by mu
 }
 
 // session is one servable decomposition state: the layout geometry and the
@@ -156,14 +157,6 @@ func snapshotLayout(l *layout.Layout) *layout.Layout {
 	}
 }
 
-// entry is one result-cache slot. ready is closed once res/err are set;
-// until then other callers with the same key wait on it (single-flight).
-type entry struct {
-	ready chan struct{}
-	res   *core.Result
-	err   error
-}
-
 // New returns a Service with the given configuration.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
@@ -171,9 +164,9 @@ func New(cfg Config) *Service {
 		cfg:      cfg,
 		sem:      make(chan struct{}, cfg.Workers),
 		fbSem:    make(chan struct{}, cfg.Workers),
-		results:  newLRU(cfg.CacheSize),
-		graphs:   newLRU(cfg.CacheSize),
-		sessions: newLRU(cfg.CacheSize),
+		results:  flight.New[*core.Result](cfg.CacheSize),
+		graphs:   flight.New[*core.Graph](cfg.CacheSize),
+		sessions: flight.New[*session](cfg.CacheSize),
 	}
 }
 
@@ -193,118 +186,96 @@ func (s *Service) DecomposeHashed(ctx context.Context, l *layout.Layout, opts co
 	if opts.K != 0 && opts.K < 2 {
 		return nil, "", false, fmt.Errorf("service: K must be >= 2, got %d", opts.K)
 	}
-	if s.cfg.DefaultTimeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultTimeout)
-			defer cancel()
-		}
-	}
+	ctx, cancel := s.withDefaultTimeout(ctx)
+	defer cancel()
 	lh := LayoutHash(l)
 	sig := optionsSig(opts)
-	key := lh + sig
-
-	var e *entry
-	for e == nil {
-		s.mu.Lock()
-		if v, ok := s.results.get(key); ok {
-			shared := v.(*entry)
-			s.stats.Hits++
-			// Probe the session store while the lock is already held: on
-			// the steady-state hit path (live session) this costs one map
-			// lookup, not an extra lock acquisition.
-			_, sessOK := s.sessions.get(key)
-			s.mu.Unlock()
-			select {
-			case <-shared.ready:
-			case <-ctx.Done():
-				// Our deadline expired while waiting on someone else's
-				// solve. Answer degraded ourselves — the same contract the
-				// owner path honors — instead of turning a cache-key
-				// collision into an error. The result is uncacheable by
-				// construction, so it bypasses the entry bookkeeping, and
-				// the optimistic Hits tally above is re-tallied as the
-				// miss this turned out to be.
-				res, err := s.solve(ctx, lh, l, opts)
-				s.mu.Lock()
-				s.stats.Hits--
-				s.stats.Misses++
-				s.recordEngines(res)
-				s.mu.Unlock()
-				if err != nil {
-					return nil, "", false, err
-				}
-				return res, lh, false, nil
-			}
-			// A healthy completed solve is shareable. A degraded or failed
-			// one reflects the owning caller's context, not this one's, so
-			// retry under our own: the owner has already removed the entry,
-			// making the next loop iteration a fresh miss (or a wait on a
-			// newer in-flight solve).
-			if shared.err == nil && shared.res.Degraded == 0 {
-				// Re-register the session if it was LRU-evicted while the
-				// result stayed hot: the documented recovery for a lost
-				// session is "re-send the full layout", and that recovery
-				// must work even when it lands here instead of on a solve.
-				if !sessOK {
-					s.ensureSession(lh, sig, l, shared.res)
-				}
-				return copyResult(shared.res), lh, true, nil
-			}
-			// The wait produced nothing servable: take back the optimistic
-			// Hits tally. The retry iteration re-counts whatever actually
-			// happens (a hit on a newer entry, or an owned miss).
-			s.mu.Lock()
-			s.stats.Hits--
-			s.mu.Unlock()
-			continue
+	res, cached, err = s.cachedRun(ctx, lh, sig, l, func(ctx context.Context) (*core.Result, error) {
+		// A restart may have left this very solve on disk: a durable
+		// snapshot of the requested hash with no replay tail reconstructs
+		// the result (graph build + verification) without re-running the
+		// solve.
+		if stored := s.fullFromStore(lh, sig, opts); stored != nil {
+			return stored, nil
 		}
-		e = &entry{ready: make(chan struct{})}
-		s.stats.Misses++
-		s.results.put(key, e, &s.stats.Evictions)
-		s.stats.Size = s.results.len()
-		s.mu.Unlock()
+		return s.solve(ctx, lh, l, opts)
+	}, nil)
+	if err != nil {
+		return nil, "", false, err
 	}
+	return res, lh, cached, nil
+}
 
-	// A restart may have left this very solve on disk: a durable snapshot
-	// of the requested hash with no replay tail reconstructs the result
-	// (graph build + verification) without re-running the solve.
-	if res := s.fullFromStore(lh, sig, opts); res != nil {
-		e.res = res
-	} else {
-		e.res, e.err = s.solve(ctx, lh, l, opts)
+// withDefaultTimeout bounds ctx by Config.DefaultTimeout when it carries no
+// earlier deadline.
+func (s *Service) withDefaultTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
+	if _, has := ctx.Deadline(); has || s.cfg.DefaultTimeout <= 0 {
+		return ctx, func() {}
 	}
-	// Degraded or failed solves are not worth caching: a later caller with
-	// a healthy deadline deserves a full-quality run. removeIf guards
-	// against deleting a newer entry that replaced ours after an eviction.
-	// A healthy solve additionally registers a session so the caller can
-	// follow up with DecomposeIncremental edit batches. The layout snapshot
-	// is O(features) pure work, so it happens before taking the lock.
-	// (DecomposeIncremental's post-solve bookkeeping mirrors this — keep
-	// the two in sync.)
-	var sess *session
-	if e.err == nil && e.res.Degraded == 0 {
-		sess = &session{hash: lh, sig: sig, layout: snapshotLayout(l), res: e.res}
-	}
-	var evicted []lruItem
+	return context.WithTimeout(ctx, s.cfg.DefaultTimeout)
+}
+
+// cachedRun is the result cache's single flight, shared by DecomposeHashed
+// and DecomposeIncremental: the result for layout hash lh under options
+// signature sig is served from the cache, or produced by run — once across
+// concurrent callers — with l as the geometry it colors.
+//
+//   - Hit: the stored result is healthy by construction. Its session is
+//     re-registered if the session store evicted it while the result stayed
+//     hot, because the documented recovery for a lost session is "re-send
+//     the full layout", and that must work even when it lands on a hit.
+//   - Owner: run's result is stored only when healthy — a degraded or
+//     failed solve reflects this caller's context, and a later caller with
+//     a healthy deadline deserves a full-quality run; its waiters then loop
+//     and one of them owns the retry. A healthy result also registers a
+//     session so the caller can follow up with edit batches; persist, when
+//     non-nil, makes that session durable first (write-ahead: once a
+//     client can chain from lh, a crash must not lose the state it chains
+//     from). The session is registered before the flight ends, so no
+//     waiter can see the result without it.
+//   - Bypass: this caller's deadline expired while waiting on another
+//     caller's solve. It answers degraded itself — the contract the owner
+//     path honors — uncached, instead of turning a key collision into an
+//     error.
+//
+// Hits are counted only on Hit and misses on Owner and Bypass.
+func (s *Service) cachedRun(ctx context.Context, lh, sig string, l *layout.Layout, run func(context.Context) (*core.Result, error), persist func(*session)) (*core.Result, bool, error) {
+	key := lh + sig
+	res, state := s.results.Acquire(ctx, key)
 	s.mu.Lock()
-	if e.err == nil {
-		s.recordEngines(e.res)
-	}
-	if sess == nil {
-		s.results.removeIf(key, e)
+	if state == flight.Hit {
+		s.stats.Hits++
 	} else {
-		evicted = s.sessions.put(key, sess, nil)
-		s.stats.Sessions = s.sessions.len()
+		s.stats.Misses++
 	}
-	s.stats.Size = s.results.len()
 	s.mu.Unlock()
-	close(e.ready)
-	s.spillEvicted(evicted)
-	if e.err != nil {
-		return nil, "", false, e.err
+	if state == flight.Hit {
+		s.ensureSession(lh, sig, l, res)
+		return copyResult(res), true, nil
 	}
-	return copyResult(e.res), lh, false, nil
+	res, err := run(ctx)
+	var evicted []*session
+	var dropped int
+	if state == flight.Owner {
+		healthy := err == nil && res.Degraded == 0
+		if healthy {
+			sess := &session{hash: lh, sig: sig, layout: snapshotLayout(l), res: res}
+			if persist != nil {
+				persist(sess)
+			}
+			evicted = s.sessions.Put(key, sess)
+		}
+		dropped = len(s.results.Finish(key, res, healthy))
+	}
+	s.mu.Lock()
+	s.stats.Evictions += uint64(dropped)
+	s.recordEngines(res)
+	s.mu.Unlock()
+	s.spillEvicted(evicted)
+	if err != nil {
+		return nil, false, err
+	}
+	return copyResult(res), false, nil
 }
 
 // recordEngines folds one executed solve's per-engine dispatch histogram
@@ -343,25 +314,13 @@ func (s *Service) recordBuild(st core.BuildStats) {
 
 // ensureSession re-registers a session for a healthy cached result whose
 // session entry may have been LRU-evicted independently. The (pure,
-// O(features)) snapshot is taken outside the lock and only when actually
-// needed.
+// O(features)) snapshot is taken only when actually needed.
 func (s *Service) ensureSession(lh, sig string, l *layout.Layout, res *core.Result) {
 	key := lh + sig
-	s.mu.Lock()
-	_, ok := s.sessions.get(key) // present: just bumped its recency
-	s.mu.Unlock()
-	if ok {
+	if _, ok := s.sessions.Get(key); ok { // present: just bumped its recency
 		return
 	}
-	sess := &session{hash: lh, sig: sig, layout: snapshotLayout(l), res: res}
-	var evicted []lruItem
-	s.mu.Lock()
-	if _, ok := s.sessions.get(key); !ok {
-		evicted = s.sessions.put(key, sess, nil)
-		s.stats.Sessions = s.sessions.len()
-	}
-	s.mu.Unlock()
-	s.spillEvicted(evicted)
+	s.spillEvicted(s.sessions.Put(key, &session{hash: lh, sig: sig, layout: snapshotLayout(l), res: res}))
 }
 
 // fallbackLaneWait bounds how long an expired request may queue for the
@@ -411,55 +370,29 @@ func (s *Service) solve(ctx context.Context, lh string, l *layout.Layout, opts c
 	return core.DecomposeGraphContext(ctx, dg, opts)
 }
 
-// graphEntry is one graph-cache slot; ready is closed once g/err are set,
-// so concurrent requests for one layout build its graph exactly once.
-type graphEntry struct {
-	ready chan struct{}
-	g     *core.Graph
-	err   error
-}
-
 // graphFor returns the decomposition graph for the layout, building it at
 // most once per (layout, build options) across concurrent callers. Waiting
 // on another caller's in-flight build is not interruptible: the build is
 // already running, always terminates, and finishing the wait is the fastest
-// route to any answer — including a degraded one.
+// route to any answer — including a degraded one. A failed build stores
+// nothing, so a waiter retries it.
 func (s *Service) graphFor(lh string, l *layout.Layout, opts core.Options) (*core.Graph, error) {
 	build := opts.Normalize().Build
 	gk := graphKey(lh, build)
-	for {
+	//lint:ignore ctxflow deliberate: the wait on an in-flight build is not interruptible (see comment above)
+	g, state := s.graphs.Acquire(context.Background(), gk)
+	if state == flight.Hit {
 		s.mu.Lock()
-		if v, ok := s.graphs.get(gk); ok {
-			ge := v.(*graphEntry)
-			s.stats.GraphHits++
-			s.mu.Unlock()
-			<-ge.ready
-			if ge.err == nil {
-				return ge.g, nil
-			}
-			// The in-flight build failed: no build was avoided after all,
-			// so take back the optimistic GraphHits tally before retrying
-			// (the retry either hits a real entry or builds — and counts —
-			// fresh).
-			s.mu.Lock()
-			s.stats.GraphHits--
-			s.mu.Unlock()
-			continue // owner removed the failed entry; retry (or own) fresh
-		}
-		ge := &graphEntry{ready: make(chan struct{})}
-		s.graphs.put(gk, ge, nil)
+		s.stats.GraphHits++
 		s.mu.Unlock()
-		ge.g, ge.err = core.BuildGraph(l, build)
-		if ge.err != nil {
-			s.mu.Lock()
-			s.graphs.removeIf(gk, ge)
-			s.mu.Unlock()
-		} else {
-			s.recordBuild(ge.g.Stats)
-		}
-		close(ge.ready)
-		return ge.g, ge.err
+		return g, nil
 	}
+	g, err := core.BuildGraph(l, build)
+	if err == nil {
+		s.recordBuild(g.Stats)
+	}
+	s.graphs.Finish(gk, g, err == nil)
+	return g, err
 }
 
 // DecomposeIncremental advances the session identified by baseHash (a
@@ -481,25 +414,14 @@ func (s *Service) DecomposeIncremental(ctx context.Context, baseHash string, edi
 	if opts.K != 0 && opts.K < 2 {
 		return nil, "", nil, false, fmt.Errorf("service: K must be >= 2, got %d", opts.K)
 	}
-	if s.cfg.DefaultTimeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultTimeout)
-			defer cancel()
-		}
-	}
+	ctx, cancel := s.withDefaultTimeout(ctx)
+	defer cancel()
 	sig := optionsSig(opts)
-	s.mu.Lock()
-	v, ok := s.sessions.get(baseHash + sig)
-	s.mu.Unlock()
-	var sess *session
-	if ok {
-		sess = v.(*session)
-	} else {
+	sess, ok := s.sessions.Get(baseHash + sig)
+	if !ok {
 		// The in-memory store lost the session (evicted, or a restart) —
 		// rehydrate it from the durable log before giving up. Only when
 		// the disk has nothing either is it truly no session.
-		var err error
 		if sess, err = s.rehydrate(ctx, baseHash, sig, opts); err != nil {
 			return nil, "", nil, false, err
 		}
@@ -508,99 +430,22 @@ func (s *Service) DecomposeIncremental(ctx context.Context, baseHash string, edi
 		}
 	}
 
-	// Hash the post-edit geometry up front: the result cache and
-	// single-flight machinery then work exactly as for full solves.
+	// Hash the post-edit geometry up front: the result cache and its
+	// single flight then work exactly as for full solves.
 	newL, err := core.EditLayout(sess.layout, edits)
 	if err != nil {
 		return nil, "", nil, false, err
 	}
 	newHash = LayoutHash(newL)
-	key := newHash + sig
-
-	// NOTE: this single-flight loop is the deliberate twin of the one in
-	// DecomposeHashed — entry lifecycle, degraded-entry retry, session
-	// registration, close(ready) ordering. A semantic change to either
-	// loop must be mirrored in the other.
-	var e *entry
-	for e == nil {
-		s.mu.Lock()
-		if v, ok := s.results.get(key); ok {
-			shared := v.(*entry)
-			s.stats.Hits++
-			_, sessOK := s.sessions.get(key)
-			s.mu.Unlock()
-			select {
-			case <-shared.ready:
-			case <-ctx.Done():
-				// Deadline expired while waiting on someone else's solve:
-				// answer degraded under our own context, uncached, like
-				// Decompose does — and re-tally the optimistic Hits count
-				// as the miss this turned out to be.
-				_, res, estats, err := s.applyEdits(ctx, sess, edits, opts)
-				s.mu.Lock()
-				s.stats.Hits--
-				s.stats.Misses++
-				s.recordEngines(res)
-				s.mu.Unlock()
-				if err != nil {
-					return nil, "", nil, false, err
-				}
-				return res, newHash, estats, false, nil
-			}
-			if shared.err == nil && shared.res.Degraded == 0 {
-				// The successor session may have been evicted while its
-				// result stayed cached; chaining from newHash must work.
-				if !sessOK {
-					s.ensureSession(newHash, sig, newL, shared.res)
-				}
-				return copyResult(shared.res), newHash, nil, true, nil
-			}
-			// Nothing servable came of the wait: take back the optimistic
-			// Hits tally before retrying (the twin loop in DecomposeHashed
-			// does the same).
-			s.mu.Lock()
-			s.stats.Hits--
-			s.mu.Unlock()
-			continue
-		}
-		e = &entry{ready: make(chan struct{})}
-		s.stats.Misses++
-		s.results.put(key, e, &s.stats.Evictions)
-		s.stats.Size = s.results.len()
-		s.mu.Unlock()
+	res, cached, err = s.cachedRun(ctx, newHash, sig, newL, func(ctx context.Context) (*core.Result, error) {
+		_, out, st, runErr := s.applyEdits(ctx, sess, edits, opts)
+		estats = st
+		return out, runErr
+	}, func(succ *session) { s.persistEdits(sess, succ, edits) })
+	if err != nil {
+		return nil, "", nil, false, err
 	}
-
-	var resL *layout.Layout
-	resL, e.res, estats, e.err = s.applyEdits(ctx, sess, edits, opts)
-	// A healthy successor is persisted to the durable log BEFORE it is
-	// registered in memory (write-ahead discipline: once a client can chain
-	// from newHash, a crash must not lose the state it chains from). The
-	// layout snapshot mirrors the Decompose path — sessions are immutable
-	// once stored, whichever loop stored them.
-	var succ *session
-	if e.err == nil && e.res.Degraded == 0 {
-		succ = &session{hash: newHash, sig: sig, layout: snapshotLayout(resL), res: e.res}
-		s.persistEdits(sess, succ, edits)
-	}
-	var evicted []lruItem
-	s.mu.Lock()
-	if e.err == nil {
-		s.recordEngines(e.res)
-	}
-	if succ == nil {
-		s.results.removeIf(key, e)
-	} else {
-		evicted = s.sessions.put(key, succ, nil)
-		s.stats.Sessions = s.sessions.len()
-	}
-	s.stats.Size = s.results.len()
-	s.mu.Unlock()
-	close(e.ready)
-	s.spillEvicted(evicted)
-	if e.err != nil {
-		return nil, "", nil, false, e.err
-	}
-	return copyResult(e.res), newHash, estats, false, nil
+	return res, newHash, estats, cached, nil
 }
 
 // applyEdits runs core.ApplyEdits under the same concurrency discipline as
@@ -623,8 +468,8 @@ func (s *Service) StatsSnapshot() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Size = s.results.len()
-	st.Sessions = s.sessions.len()
+	st.Size = s.results.Len()
+	st.Sessions = s.sessions.Len()
 	if s.stats.Engines != nil {
 		st.Engines = make(map[string]uint64, len(s.stats.Engines))
 		for name, n := range s.stats.Engines {
@@ -712,67 +557,4 @@ func (s *Service) DecomposeAll(ctx context.Context, reqs []Request) []Response {
 	close(idx)
 	wg.Wait()
 	return out
-}
-
-// lru is a tiny mutex-free (caller-locked) LRU map over container/list.
-type lru struct {
-	cap   int
-	ll    *list.List // front = most recent; Value = *lruItem
-	items map[string]*list.Element
-}
-
-type lruItem struct {
-	key string
-	val any
-}
-
-func newLRU(capacity int) *lru {
-	return &lru{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
-}
-
-func (c *lru) len() int { return c.ll.Len() }
-
-func (c *lru) get(key string) (any, bool) {
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruItem).val, true
-}
-
-// put inserts or refreshes key and returns the items the capacity bound
-// pushed out (usually none) so the caller can dispose of them outside the
-// lock — the session store spills evicted sessions to disk.
-func (c *lru) put(key string, val any, evictions *uint64) (evicted []lruItem) {
-	if c.cap < 0 {
-		return nil
-	}
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruItem).val = val
-		c.ll.MoveToFront(el)
-		return nil
-	}
-	c.items[key] = c.ll.PushFront(&lruItem{key: key, val: val})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		it := oldest.Value.(*lruItem)
-		delete(c.items, it.key)
-		evicted = append(evicted, *it)
-		if evictions != nil {
-			*evictions++
-		}
-	}
-	return evicted
-}
-
-// removeIf deletes key only while it still maps to val: after an LRU
-// eviction a newer caller may have re-registered the key, and that entry
-// belongs to them, not to the evicted owner doing cleanup.
-func (c *lru) removeIf(key string, val any) {
-	if el, ok := c.items[key]; ok && el.Value.(*lruItem).val == val {
-		c.ll.Remove(el)
-		delete(c.items, key)
-	}
 }

@@ -71,6 +71,16 @@
 // Result.DivisionStats.Engines reports which engine colored how many
 // pieces.
 //
+// # Memoization
+//
+// Options.Memoize answers a solver piece from a process-wide cache when a
+// piece with the byte-identical labeled encoding — same vertex count, same
+// conflict, stitch and friend edges under the same numbering — was already
+// solved under the same options, so repeated standard cells run an engine
+// once per process. Results are byte-identical to a memo-off run
+// (DESIGN.md §11); Result.DivisionStats.Shapes counts hits, misses and
+// distinct piece encodings.
+//
 // # Incremental (ECO) decomposition
 //
 // ApplyEdits re-decomposes an edited layout in time proportional to the
